@@ -22,6 +22,7 @@ whose leading behavior depends on the noise operators alone.
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,16 +45,29 @@ class ParsedChannel:
     unitary: UnitaryFamily | None = None
 
 
-def complex_from_json(value, path: str) -> complex:
-    if isinstance(value, (int, float)):
-        return complex(value)
+def number_from_json(value, path: str) -> float:
+    """A finite JSON number as a float.
+
+    Python's ``json`` reads ``NaN`` and ``Infinity`` as floats and ``true`` as
+    an int subclass, so all three are refused here with the path.
+    """
     if (
-        isinstance(value, list)
-        and len(value) == 2
-        and all(isinstance(v, (int, float)) for v in value)
+        isinstance(value, bool)
+        or not isinstance(value, (int, float))
+        or not abs(value) <= sys.float_info.max
     ):
-        return complex(value[0], value[1])
-    raise SchemaError("expected a number or [re, im] pair", path)
+        raise SchemaError("expected a finite number", path)
+    return float(value)
+
+
+def complex_from_json(value, path: str) -> complex:
+    if not isinstance(value, list):
+        return complex(number_from_json(value, path))
+    if len(value) != 2:
+        raise SchemaError("expected a number or [re, im] pair", path)
+    return complex(
+        number_from_json(value[0], f"{path}[0]"), number_from_json(value[1], f"{path}[1]")
+    )
 
 
 def complex_to_json(z: complex) -> list[float]:
@@ -111,16 +125,15 @@ def channel_from_dict(data) -> ParsedChannel:
         return ParsedChannel(kind=kind, dim=2, low_noise=catalog.depolarizing())
 
     if kind == "gad":
-        beta_e = _require(data, "betaE", (int, float))
-        return ParsedChannel(kind=kind, dim=2, low_noise=catalog.gad(float(beta_e)))
+        beta_e = number_from_json(_require(data, "betaE", None), "$.betaE")
+        return ParsedChannel(kind=kind, dim=2, low_noise=catalog.gad(beta_e))
 
     if kind == "unitary_rotation":
         axis = _require(data, "axis", list)
-        if len(axis) != 3 or not all(isinstance(v, (int, float)) for v in axis):
+        if len(axis) != 3:
             raise SchemaError("axis must be a 3-vector of numbers", "$.axis")
-        return ParsedChannel(
-            kind=kind, dim=2, unitary=catalog.rotation_unitary([float(v) for v in axis])
-        )
+        axis = [number_from_json(v, f"$.axis[{i}]") for i, v in enumerate(axis)]
+        return ParsedChannel(kind=kind, dim=2, unitary=catalog.rotation_unitary(axis))
 
     raw_ms = _require(data, "M", list)
     if not raw_ms:

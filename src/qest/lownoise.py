@@ -48,10 +48,9 @@ METHOD_CLOSED_FORM = "CLOSED_FORM"
 METHOD_DIRECT = "DIRECT"
 METHOD_BOTH = "BOTH"
 
-#: relative eigenvalue floor below which H counts as singular
+#: eigenvalue floor, in units of tr H, below which H counts as singular and
+#: below which eigenvalues count as equal in the sphere minimizer
 SINGULAR_REL_TOL = 1e-12
-#: grid size for the cross-check inside the sphere minimizer
-CROSS_CHECK_POINTS = 10_000
 
 
 @dataclass(frozen=True)
@@ -164,234 +163,38 @@ def quadratic_form(geom: NoiseGeometry, x: np.ndarray) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _quad(h_mat, c, x):
-    return float(x @ h_mat @ x + 2.0 * c @ x)
+def _sphere_min(w, v, c):
+    """Global minimum of ``x.Hx + 2c.x`` over unit vectors, ``H = v diag(w) v^T``.
 
-
-def _polish_on_sphere(h_mat, c, x0, iters=60):
-    """Local refinement of a sphere-constrained quadratic minimum.
-
-    Projected Newton steps in the tangent plane with a decrease guard; a
-    Tikhonov-regularized retry handles flat valleys (near-degenerate
-    spectra), and halved gradient steps are the last resort.
+    A trust-region subproblem: the minimizer solves ``(H - lam I) x = -c``
+    with ``lam <= w_min``, and that multiplier is the leftmost eigenvalue of
+    ``[[H, -I], [-c c^T, H]]`` (Gander, Golub & von Matt 1989).  In the
+    eigenbasis ``y = -d / (w - lam)`` off the bottom eigenspace; the bottom
+    eigenspace takes the remaining norm along ``-d``, which also covers the
+    hard case ``lam = w_min``.  H is expected in units of its trace, so the
+    clustering threshold is a plain constant.
     """
-    x = x0 / np.linalg.norm(x0)
-    best = _quad(h_mat, c, x)
-    eye = np.eye(3)
-    hscale = max(float(np.max(np.abs(h_mat))), 1e-300)
-    for _ in range(iters):
-        grad = h_mat @ x + c
-        lam = x @ grad
-        rgrad = grad - lam * x
-        if np.linalg.norm(rgrad) < 1e-16 * max(hscale, abs(lam)):
-            break
-        # orthonormal tangent basis via the least-aligned coordinate axis
-        k = int(np.argmin(np.abs(x)))
-        t1 = eye[k] - x[k] * x
-        t1 /= np.linalg.norm(t1)
-        t2 = np.cross(x, t1)
-        t_basis = np.stack([t1, t2], axis=1)
-        red_h = t_basis.T @ (h_mat - lam * eye) @ t_basis
-        rhs = -(t_basis.T @ grad)
-        moved = False
-        for reg in (0.0, 1e-12 * hscale, 1e-8 * hscale):
-            try:
-                delta = np.linalg.solve(red_h + reg * np.eye(2), rhs)
-            except np.linalg.LinAlgError:
-                continue
-            nrm = np.linalg.norm(delta)
-            if not np.isfinite(nrm):
-                continue
-            if nrm > 1.0:
-                delta = delta / nrm
-            cand = x + t_basis @ delta
-            cand /= np.linalg.norm(cand)
-            val = _quad(h_mat, c, cand)
-            if val <= best - 1e-18 * hscale or (val <= best and reg == 0.0):
-                x, best = cand, val
-                moved = True
-                break
-        if moved:
-            continue
-        # gradient fallback with halving
-        t = 1.0 / hscale
-        for _ in range(30):
-            cand = x - t * rgrad
-            cand /= np.linalg.norm(cand)
-            val = _quad(h_mat, c, cand)
-            if val < best:
-                x, best = cand, val
-                moved = True
-                break
-            t *= 0.5
-        if not moved:
-            break
-    return best, x
-
-
-def _sphere_min_grid(h_mat, c, n_points=CROSS_CHECK_POINTS):
-    """Dense-grid route: multi-start local polish from the best grid points."""
-    pts = fibonacci_sphere(n_points)
-    vals = np.einsum("ni,ij,nj->n", pts, h_mat, pts) + 2.0 * pts @ c
-    order = np.argsort(vals, kind="stable")
-    best_val, best_x = np.inf, None
-    for i in order[:3]:
-        val, x = _polish_on_sphere(h_mat, c, pts[int(i)])
-        if val < best_val:
-            best_val, best_x = val, x
-    return best_val, best_x
-
-
-def _secular_candidates(w, d, scale):
-    """Lagrange-multiplier roots of the secular equation, plus hard cases.
-
-    Works in the eigenbasis: candidates y(lam) = -d / (w - lam) with
-    ``sum y^2 = 1``.  Returns a list of (lam, y) pairs.
-    """
-    out = []
-    # cluster nearly equal eigenvalues so the polynomial stays well posed
-    clusters = []
-    for i, wi in enumerate(w):
-        if clusters and abs(wi - w[clusters[-1][0]]) <= 1e-9 * scale:
-            clusters[-1].append(i)
-        else:
-            clusters.append([i])
-    values = [w[c[0]] for c in clusters]
-    weights = [float(np.sum(d[c] ** 2)) for c in clusters]
-
-    # polynomial form of sum_m weight_m / (value_m - lam)^2 = 1, assembled as
-    # raw coefficient arrays; (val - lam)^2 is a quadratic in lam
-    quads = [np.convolve([-1.0, val], [-1.0, val]) for val in values]
-    denom = np.array([1.0])
-    for qd in quads:
-        denom = np.convolve(denom, qd)
-    acc = np.zeros(1)
-    for m in range(len(values)):
-        rest = np.array([1.0])
-        for m2 in range(len(values)):
-            if m2 != m:
-                rest = np.convolve(rest, quads[m2])
-        acc = np.polyadd(acc, weights[m] * rest)
-    secular_poly = np.polyadd(acc, -denom)
-    roots = np.roots(secular_poly) if len(secular_poly) > 1 else []
-
-    def phi_and_slope(lam):
-        with np.errstate(over="ignore"):
-            num = sum(
-                wt / (val - lam) ** 2 for wt, val in zip(weights, values) if abs(val - lam) > 0
-            )
-            slope = sum(
-                2.0 * wt / (val - lam) ** 3 for wt, val in zip(weights, values) if abs(val - lam) > 0
-            )
-        return num - 1.0, slope
-
-    for root in np.atleast_1d(roots):
-        # polynomial roots near double poles can carry spurious imaginary
-        # parts, so polish the real part against the rational form first and
-        # judge validity by feasibility afterwards
-        lam = float(np.real(root))
-        if abs(lam) > 10.0 * scale:
-            continue  # spurious root far outside the feasible multiplier range
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            for _ in range(8):
-                if min(abs(lam - val) for val in values) < 1e-13 * scale:
-                    break
-                f, fp = phi_and_slope(lam)
-                if fp == 0.0 or not np.isfinite(fp):
-                    break
-                lam_next = lam - f / fp
-                if not np.isfinite(lam_next):
-                    break
-                if lam_next == lam:
-                    break
-                lam = lam_next
-        if min(abs(lam - val) for val in values) < 1e-12 * scale:
-            continue  # runaway toward a pole; hard-case handling covers it
-        y = -d / (w - lam)
-        nrm = np.linalg.norm(y)
-        if not (0.5 < nrm < 2.0):
-            continue  # far from the feasible sphere: not a true multiplier
-        out.append((lam, y / nrm))
-
-    # hard-case style candidates: multiplier pinned at each eigenvalue, the
-    # cluster's own linear component dropped and the leftover norm placed in
-    # the cluster.  Candidates are exact feasible points evaluated later, so
-    # attempting them for every cluster is safe; they are what rescues the
-    # minimum when the polynomial roots collapse into the poles.
-    for cluster, val in zip(clusters, values):
-        y = np.zeros(3)
-        ok = True
-        for i in range(3):
-            if i in cluster:
-                continue
-            gap = w[i] - val
-            if abs(gap) < 1e-13 * scale:
-                ok = False
-                break
-            y[i] = -d[i] / gap
-        if not ok:
-            continue
-        rest = 1.0 - float(y @ y)
-        if rest < -1e-12:
-            continue
-        # complete the norm inside the cluster, descending along -d there
-        amp = np.sqrt(max(0.0, rest))
-        d_cl = d[cluster]
-        n_cl = float(np.linalg.norm(d_cl))
-        if n_cl > 0.0:
-            y[cluster] = -amp * d_cl / n_cl
-        else:
-            y[cluster[0]] = amp
-        nrm = np.linalg.norm(y)
-        if nrm > 0:
-            out.append((val, y / nrm))
-    return out
-
-
-def _eig3(h_mat):
-    """Eigendecomposition of a small real symmetric matrix, real vectors."""
-    w, v = hermitian_eig(np.asarray(h_mat, dtype=complex))
-    return w, v.real
-
-
-def _sphere_min_secular(h_mat, c, eig=None):
-    """Analytic route: eigen-diagonalize and enumerate multiplier branches."""
-    w, v = _eig3(h_mat) if eig is None else eig
     d = v.T @ c
-    scale = max(1.0, float(np.max(np.abs(w))), float(np.linalg.norm(d)))
-    best_val, best_x = np.inf, None
-    for _, y in _secular_candidates(w, d, scale):
-        x = v @ y
-        x /= np.linalg.norm(x)
-        val = _quad(h_mat, c, x)
-        if val < best_val:
-            best_val, best_x = val, x
-    return best_val, best_x
-
-
-def _min_on_sphere(h_mat, c, cross_check_points=CROSS_CHECK_POINTS, eig=None):
-    """Global minimum of ``x.Hx + 2c.x`` over the unit sphere.
-
-    The secular route is exact when its branch enumeration is well
-    conditioned; the polished-grid route is independent of it.  Whenever the
-    enumeration is off (it can only overestimate a minimum), the grid result
-    is smaller and wins.
-    """
-    h_mat = np.asarray(h_mat, dtype=float)
-    c = np.asarray(c, dtype=float)
-    sec_val, sec_x = _sphere_min_secular(h_mat, c, eig=eig)
-    grid_val, grid_x = _sphere_min_grid(h_mat, c, cross_check_points)
-    if sec_x is None or grid_val < sec_val:
-        return grid_val, grid_x
-    return sec_val, sec_x
+    pencil = np.block([[np.diag(w), -np.eye(3)], [-np.outer(d, d), np.diag(w)]])
+    lam = min(float(np.min(np.linalg.eigvals(pencil).real)), float(w[0]))
+    top = w - w[0] > SINGULAR_REL_TOL
+    y = np.zeros(3)
+    y[top] = -d[top] / (w[top] - lam)
+    fill = np.where(top, 0.0, -d)
+    if not fill.any():
+        fill[0] = 1.0
+    y += np.sqrt(max(0.0, 1.0 - float(y @ y))) * fill / np.linalg.norm(fill)
+    y /= np.linalg.norm(y)
+    return float(w @ (y * y) + 2.0 * d @ y), v @ y
 
 
 def min_quadratic_on_sphere(h_mat: np.ndarray, k: np.ndarray) -> tuple[float, np.ndarray]:
     """Minimize ``(x + k) . H (x + k)`` over unit vectors x.
 
-    H must be symmetric positive semidefinite.  Solved by eigen-
-    diagonalization plus a secular-equation search over the Lagrange
-    multiplier, cross-checked against a polished dense sphere grid.
+    H must be symmetric positive semidefinite.  Solved in units of tr H by
+    the trust-region eigenvalue solution: the Lagrange multiplier is the
+    leftmost eigenvalue of a 6x6 matrix built from H and ``H k``, and the
+    bottom eigenspace of H completes the norm in the hard case.
     """
     h_mat = np.asarray(h_mat, dtype=float)
     k = np.asarray(k, dtype=float)
@@ -402,87 +205,58 @@ def min_quadratic_on_sphere(h_mat: np.ndarray, k: np.ndarray) -> tuple[float, np
     w, v = hermitian_eig(h_mat.astype(complex))
     if float(w[0]) < -1e-9 * max(1.0, float(w[-1])):
         raise ValidationError(f"H must be positive semidefinite, min eigenvalue {float(w[0]):.3e}")
-    val, x = _min_on_sphere(h_mat, h_mat @ k, eig=(w, v.real))
-    return val + float(k @ h_mat @ k), x
+    scale = float(np.sum(np.abs(w))) or 1.0  # tr H, up to roundoff; H = 0 keeps 1
+    val, x = _sphere_min(w / scale, v.real, h_mat @ k / scale)
+    return scale * val + float(k @ h_mat @ k), x
 
 
 # ---------------------------------------------------------------------------
 # enhancement factor
 # ---------------------------------------------------------------------------
+#
+# Below, H and J are in units of tr H, and so are the leading coefficients
+# until enhancement_factor multiplies them back.
 
 
 def _frobenius_total(ms):
     return sum(float(np.sum(np.abs(m) ** 2)) for m in ms)
 
 
-def _direct_bounds(geom: NoiseGeometry, eig, cross_check_points=2048):
-    """Sphere and ball maxima of the leading coefficient, no inverse needed."""
-    tr_h = float(np.trace(geom.h))
-    sphere_min, x_sphere = _min_on_sphere(
-        geom.h, geom.jvec, cross_check_points=cross_check_points, eig=eig
-    )
-    leading_pure = tr_h - sphere_min
-
+def _ball_max(h, jvec, eig, leading_pure, x_sphere):
+    """Ball maximum of the leading coefficient and its argument, no inverse needed."""
     # concave objective on the ball: interior optimum needs H x = -J solvable
     w, v = eig
-    wmax = max(float(w[-1]), 1e-300)
-    inv_w = np.where(w > SINGULAR_REL_TOL * wmax, 1.0 / np.where(w > 0, w, 1.0), 0.0)
-    x0 = -(v @ (inv_w * (v.T @ geom.jvec)))
-    resid = float(np.linalg.norm(geom.h @ x0 + geom.jvec))
-    consistent = resid <= 1e-10 * max(1.0, float(np.linalg.norm(geom.jvec)), tr_h)
+    inv_w = np.where(w > SINGULAR_REL_TOL * w[-1], 1.0 / np.where(w > 0, w, 1.0), 0.0)
+    x0 = -(v @ (inv_w * (v.T @ jvec)))
+    consistent = np.linalg.norm(h @ x0 + jvec) <= 1e-10
     if consistent and np.linalg.norm(x0) <= 1.0 + 1e-12:
-        leading_extended = tr_h - float(geom.jvec @ x0)
-        nrm = np.linalg.norm(x0)
-        x_ball = x0 if nrm <= 1.0 else x0 / nrm
-    else:
-        leading_extended = leading_pure
-        x_ball = x_sphere
-    if leading_extended < leading_pure:  # ball contains the sphere
-        leading_extended = leading_pure
-        x_ball = x_sphere
-    return leading_pure, leading_extended, x_sphere, x_ball
+        leading_extended = 1.0 - float(jvec @ x0)
+        if leading_extended >= leading_pure:  # the ball contains the sphere
+            return leading_extended, x0 / max(1.0, float(np.linalg.norm(x0)))
+    return leading_pure, x_sphere
 
 
-def _classify(geom: NoiseGeometry, eig):
-    tr_h = float(np.trace(geom.h))
+def _classify(jvec, eig):
     w, v = eig
-    jn = float(np.linalg.norm(geom.jvec))
-    if jn <= 1e-12 * max(1.0, tr_h):
+    if np.linalg.norm(jvec) <= 1e-12:
         return REGIME_J_ZERO
-    if float(w[0]) <= SINGULAR_REL_TOL * max(float(w[-1]), 1e-300):
+    if float(w[0]) <= SINGULAR_REL_TOL * float(w[-1]):
         return REGIME_SINGULAR_H
-    k = v @ ((v.T @ geom.jvec) / w)
+    k = v @ ((v.T @ jvec) / w)
     return REGIME_INSIDE_BALL if np.linalg.norm(k) <= 1.0 else REGIME_OUTSIDE_BALL
 
 
-def _closed_form(geom: NoiseGeometry, eig, cross_check_points=2048):
-    regime = _classify(geom, eig)
-    if regime == REGIME_SINGULAR_H:
-        raise SingularGeometryError(
-            "noise metric is singular; the closed form needs H^-1, use the direct method"
-        )
-    tr_h = float(np.trace(geom.h))
-    sphere_min, x_sphere = _min_on_sphere(
-        geom.h, geom.jvec, cross_check_points=cross_check_points, eig=eig
-    )
-    leading_pure = tr_h - sphere_min
+def _closed_form(h, jvec, regime, sphere_min, x_sphere):
+    """``(eta, leading_extended, x_ball)`` from the H^-1 expression of the regime."""
     if regime == REGIME_J_ZERO:
-        leading_extended = tr_h
-        x_ball = np.zeros(3)
-        eta = tr_h / leading_pure
-    else:
-        k = np.linalg.solve(geom.h, geom.jvec)
-        jhj = float(geom.jvec @ k)
-        if regime == REGIME_INSIDE_BALL:
-            # ball minimum of (x+k).H(x+k) is zero at x = -k
-            leading_extended = tr_h + jhj
-            x_ball = -k
-            eta = (tr_h + jhj) / (tr_h + jhj - (sphere_min + jhj))
-        else:
-            leading_extended = leading_pure
-            x_ball = x_sphere
-            eta = 1.0
-    return eta, regime, leading_pure, leading_extended, x_sphere, x_ball
+        return 1.0 / (1.0 - sphere_min), 1.0, np.zeros(3)
+    if regime == REGIME_OUTSIDE_BALL:
+        return 1.0, 1.0 - sphere_min, x_sphere
+    # inside the ball the minimum of (x+k).H(x+k) is zero, at x = -k, while
+    # its sphere minimum is sphere_min + J.k
+    k = np.linalg.solve(h, jvec)
+    jhj = float(jvec @ k)
+    return (1.0 + jhj) / (1.0 - sphere_min), 1.0 + jhj, -k
 
 
 def enhancement_factor(noise_ops, method: str = METHOD_DIRECT) -> EnhancementReport:
@@ -492,6 +266,12 @@ def enhancement_factor(noise_ops, method: str = METHOD_DIRECT) -> EnhancementRep
     form over sphere and ball without inverting H (always applicable),
     CLOSED_FORM uses the H^-1 expression and the regime split, BOTH runs
     both and records their discrepancy.  The ratio always lies in [1, 3/2].
+
+    H and J are divided by tr H first, so every threshold is relative and eta
+    does not depend on the scale of the noise operators; the leading
+    coefficients are reported in the operators' own units.  The sphere
+    maximum comes from the trust-region eigenvalue solution (see
+    :func:`min_quadratic_on_sphere`), computed once and shared by both paths.
     """
     if method not in (METHOD_CLOSED_FORM, METHOD_DIRECT, METHOD_BOTH):
         raise ValidationError(f"unknown method {method!r}")
@@ -504,27 +284,30 @@ def enhancement_factor(noise_ops, method: str = METHOD_DIRECT) -> EnhancementRep
             "the leading coefficient vanishes for all inputs"
         )
 
-    eig = _eig3(geom.h)
+    h, jvec = geom.h / tr_h, geom.jvec / tr_h
+    w, v = hermitian_eig(h.astype(complex))
+    eig = (w, v.real)
+    regime = _classify(jvec, eig)
+    if method != METHOD_DIRECT and regime == REGIME_SINGULAR_H:
+        raise SingularGeometryError(
+            "noise metric is singular; the closed form needs H^-1, use the direct method"
+        )
+    sphere_min, x_sphere = _sphere_min(*eig, jvec)
+    pure = 1.0 - sphere_min
+    agreement = None
     if method == METHOD_CLOSED_FORM:
-        eta, regime, lp, le, xs, xb = _closed_form(geom, eig)
-        return EnhancementReport(
-            eta=eta, regime=regime, leading_pure=lp, leading_extended=le,
-            x_sphere=xs, x_ball=xb, method=method,
-        )
-
-    lp, le, xs, xb = _direct_bounds(geom, eig)
-    eta_direct = le / lp
-    regime = _classify(geom, eig)
-    if method == METHOD_DIRECT:
-        return EnhancementReport(
-            eta=eta_direct, regime=regime, leading_pure=lp, leading_extended=le,
-            x_sphere=xs, x_ball=xb, method=method,
-        )
-    eta_cf, regime_cf, _, _, _, xb_cf = _closed_form(geom, eig)
+        eta, extended, x_ball = _closed_form(h, jvec, regime, sphere_min, x_sphere)
+    else:
+        extended, x_ball = _ball_max(h, jvec, eig, pure, x_sphere)
+        eta = extended / pure
+        if method == METHOD_BOTH:
+            eta_cf, _, x_ball_cf = _closed_form(h, jvec, regime, sphere_min, x_sphere)
+            agreement = abs(eta - eta_cf)
+            if regime != REGIME_OUTSIDE_BALL:
+                x_ball = x_ball_cf
     return EnhancementReport(
-        eta=eta_direct, regime=regime_cf, leading_pure=lp, leading_extended=le,
-        x_sphere=xs, x_ball=xb_cf if regime_cf != REGIME_OUTSIDE_BALL else xb,
-        method=method, agreement=abs(eta_direct - eta_cf),
+        eta=eta, regime=regime, leading_pure=tr_h * pure, leading_extended=tr_h * extended,
+        x_sphere=x_sphere, x_ball=x_ball, method=method, agreement=agreement,
     )
 
 

@@ -126,6 +126,42 @@ class TestEta:
         )
         assert main(["eta", path]) == 3
 
+    @pytest.mark.parametrize(
+        "entry, value, where",
+        [
+            ((0, 0, 0, 0), float("nan"), "$.M[0][0][0][0]"),
+            ((0, 1, 1, 1), float("inf"), "$.M[0][1][1][1]"),
+            ((1, 0, 1), -float("inf"), "$.M[1][0][1]"),
+            ((0, 0, 0), [True, 0], "$.M[0][0][0][0]"),
+        ],
+    )
+    def test_non_finite_or_boolean_entry_is_a_parse_error(
+        self, tmp_path, capsys, entry, value, where
+    ):
+        payload = demo_dict("random", seed=42, num_m=3)
+        *outer, last = entry
+        target = payload["M"]
+        for i in outer:
+            target = target[i]
+        target[last] = value
+        path = write_json(tmp_path / "bad.json", payload)
+        assert main(["eta", path]) == 2
+        err = capsys.readouterr().err
+        assert where in err and "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "payload, where",
+        [
+            ({"dim": 2, "type": "gad", "betaE": True}, "$.betaE"),
+            ({"dim": 2, "type": "unitary_rotation", "axis": [0, float("nan"), 1]}, "$.axis[1]"),
+        ],
+    )
+    def test_bad_scalar_fields_are_parse_errors(self, tmp_path, capsys, payload, where):
+        path = write_json(tmp_path / "bad.json", payload)
+        assert main(["eta", path]) == 2
+        err = capsys.readouterr().err
+        assert where in err and "Traceback" not in err
+
 
 class TestQfi:
     def test_ground_state(self, dep_file, capsys):

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from qest import lownoise
 from qest.catalog import depolarizing, gad, random_low_noise
 from qest.errors import (
     DegenerateChannelError,
@@ -12,6 +13,7 @@ from qest.linalg import (
     PAULIS,
     SIGMA_X,
     bloch_to_density,
+    fibonacci_sphere,
     hermitian_eig,
     partial_trace,
     pure_to_density,
@@ -24,9 +26,7 @@ from qest.lownoise import (
     REGIME_J_ZERO,
     REGIME_OUTSIDE_BALL,
     REGIME_SINGULAR_H,
-    _min_on_sphere,
-    _sphere_min_grid,
-    _sphere_min_secular,
+    _sphere_min,
     enhancement_factor,
     eta_bruteforce,
     leading_qfi_coefficient,
@@ -155,25 +155,32 @@ class TestMinQuadraticOnSphere:
             np.testing.assert_allclose(val, (1 - kn) ** 2, atol=1e-10)
             np.testing.assert_allclose(x, -k / kn, atol=1e-6)
 
-    def test_secular_and_grid_routes_agree(self, rng):
+    def test_solver_beats_dense_grid_with_certificate(self, rng):
+        pts = fibonacci_sphere(200_000)
         for trial in range(60):
             a = rng.standard_normal((3, 3))
             h_mat = a @ a.T
             c = rng.standard_normal(3) * rng.uniform(0.0, 2.0)
-            sec_val, sec_x = _sphere_min_secular(h_mat, c)
-            grid_val, grid_x = _sphere_min_grid(h_mat, c)
-            scale = max(1.0, abs(sec_val))
-            assert abs(sec_val - grid_val) < 1e-8 * scale
+            tr_h = float(np.trace(h_mat))
+            w, v = hermitian_eig(h_mat.astype(complex) / tr_h)
+            val, x = _sphere_min(w, v.real, c / tr_h)
+            val *= tr_h
+            grid = np.einsum("ni,ij,nj->n", pts, h_mat, pts) + 2.0 * pts @ c
+            assert val <= float(np.min(grid)) + 1e-12 * tr_h
+            # optimality certificate: (H - lam I) x = -c with lam <= lambda_min(H)
+            lam = float(x @ h_mat @ x + c @ x)
+            assert lam <= np.linalg.eigvalsh(h_mat)[0] + 1e-12 * tr_h
+            assert np.linalg.norm(h_mat @ x - lam * x + c) <= 1e-10 * tr_h
 
     def test_hard_case_degenerate_eigenvalues(self):
-        # linear term orthogonal to the bottom eigenspace
+        # linear term H k = (0, 0, 1) orthogonal to the bottom eigenspace
         h_mat = np.diag([1.0, 1.0, 4.0])
-        c = np.array([0.0, 0.0, 1.0])
-        val, x = _min_on_sphere(h_mat, c)
-        # candidates: multiplier pinned at 1 with completion in the xy plane
+        k = np.array([0.0, 0.0, 0.25])
+        val, x = min_quadratic_on_sphere(h_mat, k)
+        # multiplier pinned at 1 with completion in the xy plane
         y3 = -1.0 / 3.0
         expected = 1.0 * (1 - y3**2) + 4.0 * y3**2 + 2.0 * y3
-        np.testing.assert_allclose(val, expected, atol=1e-10)
+        np.testing.assert_allclose(val, expected + k @ h_mat @ k, atol=1e-10)
 
     def test_rejects_bad_inputs(self):
         with pytest.raises(ValidationError):
@@ -280,6 +287,41 @@ class TestEnhancementFactor:
     def test_rejects_unknown_method(self):
         with pytest.raises(ValidationError):
             enhancement_factor(depolarizing().noise_ops, method="GUESS")
+
+    def test_both_solves_the_sphere_once(self, monkeypatch):
+        calls = []
+
+        def counted(*args):
+            calls.append(1)
+            return _sphere_min(*args)
+
+        monkeypatch.setattr(lownoise, "_sphere_min", counted)
+        report = enhancement_factor(random_low_noise(5, num_m=3).noise_ops, method=METHOD_BOTH)
+        assert report.agreement < 1e-12
+        assert len(calls) == 1
+
+
+class TestScaleInvariance:
+    def test_weak_noise_repro(self):
+        ms = random_low_noise(83, num_m=4).noise_ops
+        plain = enhancement_factor(ms)
+        scaled = enhancement_factor([1e-6 * m for m in ms])
+        assert plain.regime == scaled.regime == REGIME_INSIDE_BALL
+        assert abs(scaled.eta - plain.eta) <= 1e-12
+
+    @pytest.mark.parametrize("scale", [1e-8, 1e-4, 1e4, 1e8])
+    def test_eta_and_regime_ignore_operator_scale(self, scale):
+        # C04 channels; seeds 0-5 at 1e-8 and seeds 8 and 14 at 1e-4 change eta
+        # or regime under any threshold that is not relative to tr H
+        for seed in range(15):
+            ms = random_low_noise(seed, num_m=1 + seed % 6).noise_ops
+            plain = enhancement_factor(ms)
+            scaled = enhancement_factor([scale * m for m in ms])
+            assert scaled.regime == plain.regime, f"seed {seed}"
+            assert abs(scaled.eta - plain.eta) <= 1e-12, f"seed {seed}"
+            np.testing.assert_allclose(
+                scaled.leading_pure, scale**2 * plain.leading_pure, rtol=1e-12
+            )
 
 
 class TestBruteForce:
