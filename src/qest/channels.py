@@ -1,6 +1,7 @@
 """Kraus-form channels and the low-noise channel model.
 
-A channel at a fixed parameter value is a plain list of Kraus operators.
+A channel at a fixed parameter value is a plain list of Kraus operators,
+applied to states through its transfer matrix.
 A :class:`LowNoiseChannel` is the epsilon-parametrized object: it stores the
 leading expansion data (kappa coefficients, first-order corrections, noise
 operators) together with an exact Kraus generator, so instantiating at any
@@ -10,7 +11,7 @@ channel rather than a truncated series.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -27,10 +28,16 @@ TP_TOL = 1e-10
 
 @dataclass(frozen=True)
 class KrausChannel:
-    """A trace-preserving completely positive map at a fixed parameter value."""
+    """A trace-preserving completely positive map at a fixed parameter value.
+
+    ``transfer`` is its transfer matrix ``S = sum_k K (x) conj(K)``, of shape
+    ``(d*d, d*d)``: the channel maps the row-major ``vec(rho)`` to
+    ``S vec(rho)``.  It is computed once, from the Kraus operators.
+    """
 
     dim: int
     kraus: tuple[np.ndarray, ...]
+    transfer: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         ops = tuple(np.array(k, dtype=complex) for k in self.kraus)
@@ -44,23 +51,35 @@ class KrausChannel:
         for k in ops:
             k.setflags(write=False)
         object.__setattr__(self, "kraus", ops)
+        d2 = self.dim * self.dim
+        stack = np.stack(ops)
+        transfer = np.einsum("kab,kdc->adbc", stack, np.conj(stack)).reshape(d2, d2)
+        transfer.setflags(write=False)
+        object.__setattr__(self, "transfer", transfer)
 
 
 def identity_channel(dim: int) -> KrausChannel:
     return KrausChannel(dim=dim, kraus=(np.eye(dim, dtype=complex),))
 
 
+def apply_transfer(transfer: np.ndarray, dim: int, rho: np.ndarray) -> np.ndarray:
+    """Apply a ``(d*d, d*d)`` transfer matrix to a state or a stack ``(..., d, d)``.
+
+    The linear map takes the row-major ``vec(rho)`` to ``transfer @ vec(rho)``;
+    a whole stack is one matrix product.
+    """
+    rho = np.asarray(rho, dtype=complex)
+    if rho.shape[-2:] != (dim, dim):
+        raise ValidationError(
+            f"state shape {rho.shape} does not match channel dimension {dim}"
+        )
+    flat = rho.reshape(rho.shape[:-2] + (dim * dim,))
+    return (flat @ transfer.T).reshape(rho.shape)
+
+
 def apply_channel(ch: KrausChannel, rho: np.ndarray) -> np.ndarray:
     """Apply ``sum_k K rho K^dag``; accepts a stack of states ``(..., d, d)``."""
-    rho = np.asarray(rho, dtype=complex)
-    if rho.shape[-2:] != (ch.dim, ch.dim):
-        raise ValidationError(
-            f"state shape {rho.shape} does not match channel dimension {ch.dim}"
-        )
-    out = np.zeros_like(rho)
-    for k in ch.kraus:
-        out += np.einsum("ab,...bc,dc->...ad", k, rho, np.conj(k))
-    return out
+    return apply_transfer(ch.transfer, ch.dim, rho)
 
 
 def validate_trace_preserving(ch: KrausChannel, tol: float = TP_TOL) -> float:

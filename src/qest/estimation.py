@@ -17,9 +17,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
 
-from .channels import ChannelFamily, apply_channel
+from .channels import ChannelFamily, apply_transfer
 from .errors import DegenerateFamilyError, ParameterRangeError, ValidationError
 from .linalg import (
     bloch_to_density,
@@ -101,8 +100,14 @@ class QfiEvaluator:
     """Pre-built channel evaluations for one (family, theta) point.
 
     Channels do not depend on the input state, so the five builds needed for
-    the Richardson derivative are done once and then applied to arbitrarily
-    large batches of inputs.
+    the Richardson derivative are done once, each through
+    ``family.evaluate`` with its trace-preservation check.  A channel is
+    linear in rho, so only two transfer matrices (see
+    :class:`~qest.channels.KrausChannel`) are kept: ``S(theta)`` and the
+    Richardson-combined derivative ``D = (4 d2 - d1)/3``, with
+    ``d1 = (S(theta+h) - S(theta-h))/2h`` and
+    ``d2 = (S(theta+h/2) - S(theta-h/2))/h``.  The output state and its
+    derivative for a batch of inputs are then two matrix products.
     """
 
     def __init__(self, family: ChannelFamily, theta: float, fd_step: float | None = None):
@@ -119,19 +124,19 @@ class QfiEvaluator:
         self.family = family
         self.theta = float(theta)
         self.fd_step = h
-        self._ch0 = family.evaluate(theta)
-        self._chp = family.evaluate(theta + h)
-        self._chm = family.evaluate(theta - h)
-        self._chp2 = family.evaluate(theta + h / 2.0)
-        self._chm2 = family.evaluate(theta - h / 2.0)
+        self._s0, sp, sm, sp2, sm2 = (
+            family.evaluate(t).transfer
+            for t in (theta, theta + h, theta - h, theta + h / 2.0, theta - h / 2.0)
+        )
+        d1 = (sp - sm) / (2.0 * h)
+        d2 = (sp2 - sm2) / h
+        self._ds = (4.0 * d2 - d1) / 3.0
 
     def output_and_derivative(self, rho_in: np.ndarray):
-        h = self.fd_step
-        d1 = (apply_channel(self._chp, rho_in) - apply_channel(self._chm, rho_in)) / (2.0 * h)
-        d2 = (apply_channel(self._chp2, rho_in) - apply_channel(self._chm2, rho_in)) / h
-        drho = (4.0 * d2 - d1) / 3.0
+        dim = self.family.dim
+        drho = apply_transfer(self._ds, dim, rho_in)
         drho = 0.5 * (drho + dagger(drho))
-        return apply_channel(self._ch0, rho_in), drho
+        return apply_transfer(self._s0, dim, rho_in), drho
 
     def qfi(self, rho_in: np.ndarray, kernel_tol: float = KERNEL_TOL) -> np.ndarray:
         """QFI of the output family for a batch of input states ``(..., d, d)``."""
@@ -246,23 +251,8 @@ def maximize_qfi_pure(
         best = int(np.argmax(vals))
         params = np.array(_bloch_angles(grid[best]))
 
-        def objective(t):
-            return -float(ev.qfi(pure_to_density(_bloch_state(t[0], t[1]))))
-
-        if cfg.refine:
-            res = minimize(
-                objective,
-                params,
-                method="Nelder-Mead",
-                options={
-                    "xatol": cfg.refine_tol,
-                    "fatol": cfg.refine_tol,
-                    "maxiter": cfg.refine_maxiter,
-                },
-            )
-            if -res.fun >= vals[best]:
-                params = res.x
-        psi = _bloch_state(params[0], params[1])
+        def state(t):
+            return _bloch_state(t[0], t[1])
     else:
         n = cfg.schmidt_points
         chi = np.linspace(0.0, np.pi / 2.0, n)
@@ -274,23 +264,25 @@ def maximize_qfi_pure(
         best = int(np.argmax(vals))
         params = np.array([cc.ravel()[best], 0.0, pp.ravel()[best], aa.ravel()[best]])
 
-        def objective(t):
-            return -float(ev.qfi(pure_to_density(_schmidt_states(t[0], t[1], t[2], t[3]))))
+        def state(t):
+            return _schmidt_states(t[0], t[1], t[2], t[3])
 
-        if cfg.refine:
-            res = minimize(
-                objective,
-                params,
-                method="Nelder-Mead",
-                options={
-                    "xatol": cfg.refine_tol,
-                    "fatol": cfg.refine_tol,
-                    "maxiter": cfg.refine_maxiter,
-                },
-            )
-            if -res.fun >= vals[best]:
-                params = res.x
-        psi = _schmidt_states(params[0], params[1], params[2], params[3])
+    if cfg.refine:
+        from scipy.optimize import minimize
+
+        res = minimize(
+            lambda t: -float(ev.qfi(pure_to_density(state(t)))),
+            params,
+            method="Nelder-Mead",
+            options={
+                "xatol": cfg.refine_tol,
+                "fatol": cfg.refine_tol,
+                "maxiter": cfg.refine_maxiter,
+            },
+        )
+        if -res.fun >= vals[best]:
+            params = res.x
+    psi = state(params)
 
     psi = psi / np.linalg.norm(psi)
     value = float(ev.qfi(pure_to_density(psi)))

@@ -5,10 +5,11 @@ Most routines accept a stack of matrices (shape ``(..., n, n)``) and broadcast
 over the leading axes; the batched form is what makes grid searches over
 thousands of input states affordable.
 
-The eigensolver is a cyclic complex Jacobi iteration rather than a LAPACK
-call.  At these dimensions it is exact to working precision, has no
-backend-dependent sign or ordering ambiguity, and vectorizes cleanly over a
-batch, which keeps every result bit-reproducible across platforms.
+The eigensolver is LAPACK ``eigh`` (through numpy), batched over stacks, on
+the Hermitian part of its input.  Eigenvalues come out ascending and every
+eigenvector's phase is fixed by one convention, so results are
+byte-identical between runs on the same machine; another LAPACK build may
+differ in the last bits.
 """
 
 from __future__ import annotations
@@ -30,9 +31,6 @@ HERMITIAN_TOL = 1e-9
 #: reject it (finite-precision channel outputs land here routinely)
 PSD_TOL = 1e-9
 
-_JACOBI_MAX_SWEEPS = 60
-_JACOBI_OFF_TOL = 1e-14
-
 
 def dagger(m: np.ndarray) -> np.ndarray:
     """Conjugate transpose, broadcasting over leading axes."""
@@ -40,65 +38,20 @@ def dagger(m: np.ndarray) -> np.ndarray:
 
 
 def check_hermitian(m: np.ndarray, tol: float = HERMITIAN_TOL, what: str = "matrix") -> None:
-    """Raise ValidationError unless ``m`` equals its conjugate transpose within ``tol``."""
+    """Raise ValidationError unless ``m`` is finite and equals its conjugate
+    transpose within ``tol``."""
     m = np.asarray(m)
     if m.shape[-1] != m.shape[-2]:
         raise ValidationError(f"{what} must be square, got shape {m.shape}")
-    dev = float(np.max(np.abs(m - dagger(m))))
+    # a NaN or infinite entry makes the deviation NaN or infinite too
+    with np.errstate(invalid="ignore"):
+        dev = float(np.max(np.abs(m - dagger(m))))
+    if not np.isfinite(dev):
+        raise ValidationError(f"{what} has a NaN or infinite entry")
     if dev > tol:
         raise ValidationError(
             f"{what} is not Hermitian: max |M - M^dag| = {dev:.3e} exceeds {tol:.3e}"
         )
-
-
-def _jacobi_rotate(a: np.ndarray, v: np.ndarray, p: int, q: int) -> None:
-    """Apply one batched complex Jacobi rotation zeroing a[..., p, q] in place."""
-    apq = a[..., p, q].copy()
-    absq = np.abs(apq)
-    active = absq > 1e-300
-    safe = np.where(active, absq, 1.0)
-    phase = np.where(active, apq / safe, 1.0 + 0.0j)
-
-    app = a[..., p, p].real
-    aqq = a[..., q, q].real
-    tau = (aqq - app) / (2.0 * safe)
-    sign = np.where(tau >= 0.0, 1.0, -1.0)
-    with np.errstate(over="ignore"):
-        denom = np.abs(tau) + np.sqrt(1.0 + tau * tau)
-    t = -sign / denom  # an overflowing denominator correctly yields t = 0
-    c = 1.0 / np.sqrt(1.0 + t * t)
-    s = t * c
-    c = np.where(active, c, 1.0)
-    s = np.where(active, s, 0.0)
-
-    # unitary block R = [[phase*c, -phase*s], [s, c]] on the (p, q) plane
-    fc = (phase * c)[..., None]
-    fs = (phase * s)[..., None]
-    c_ = c[..., None]
-    s_ = s[..., None]
-
-    colp = a[..., :, p].copy()
-    colq = a[..., :, q].copy()
-    a[..., :, p] = colp * fc + colq * s_
-    a[..., :, q] = -colp * fs + colq * c_
-
-    rowp = a[..., p, :].copy()
-    rowq = a[..., q, :].copy()
-    a[..., p, :] = np.conj(fc) * rowp + s_ * rowq
-    a[..., q, :] = -np.conj(fs) * rowp + c_ * rowq
-
-    vcp = v[..., :, p].copy()
-    vcq = v[..., :, q].copy()
-    v[..., :, p] = vcp * fc + vcq * s_
-    v[..., :, q] = -vcp * fs + vcq * c_
-
-
-def _max_offdiag(a: np.ndarray) -> float:
-    n = a.shape[-1]
-    iu, ju = np.triu_indices(n, k=1)
-    if iu.size == 0:
-        return 0.0
-    return float(np.max(np.abs(a[..., iu, ju])))
 
 
 def hermitian_eig(m: np.ndarray, tol: float = HERMITIAN_TOL) -> tuple[np.ndarray, np.ndarray]:
@@ -107,7 +60,7 @@ def hermitian_eig(m: np.ndarray, tol: float = HERMITIAN_TOL) -> tuple[np.ndarray
     Parameters
     ----------
     m : array, shape (..., n, n)
-        Hermitian within ``tol`` (max-abs deviation).
+        Finite, and Hermitian within ``tol`` (max-abs deviation).
     tol : float
         Hermiticity tolerance.
 
@@ -124,28 +77,10 @@ def hermitian_eig(m: np.ndarray, tol: float = HERMITIAN_TOL) -> tuple[np.ndarray
         raise ValidationError(f"expected a square matrix, got shape {a.shape}")
     check_hermitian(a, tol=tol)
 
-    n = a.shape[-1]
-    a = 0.5 * (a + dagger(a))  # kill roundoff-level asymmetry before iterating
-    v = np.zeros_like(a)
-    v[...] = np.eye(n)
-
-    scale = max(1.0, float(np.max(np.abs(a))) if a.size else 0.0)
-    threshold = _JACOBI_OFF_TOL * scale
-    converged = n <= 1
-    for _ in range(_JACOBI_MAX_SWEEPS):
-        if _max_offdiag(a) <= threshold:
-            converged = True
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                _jacobi_rotate(a, v, p, q)
-    if not converged:
-        raise ConvergenceError("Jacobi eigensolver did not converge")
-
-    w = np.real(np.einsum("...ii->...i", a))
-    order = np.argsort(w, axis=-1, kind="stable")
-    w = np.take_along_axis(w, order, axis=-1)
-    v = np.take_along_axis(v, order[..., None, :], axis=-1)
+    try:
+        w, v = np.linalg.eigh(0.5 * (a + dagger(a)))
+    except np.linalg.LinAlgError as exc:
+        raise ConvergenceError(f"eigh did not converge: {exc}") from exc
 
     # phase convention: largest-magnitude component of each column real positive
     idx = np.argmax(np.abs(v), axis=-2)

@@ -23,7 +23,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .errors import (
     DegenerateChannelError,
@@ -321,6 +320,8 @@ def eta_bruteforce(noise_ops, grid_size: int = 10_000) -> float:
     """
     if grid_size < 1000:
         raise ValidationError(f"grid_size must be at least 1000, got {grid_size}")
+    from scipy.optimize import minimize
+
     ms, _ = _as_noise_ops(noise_ops, dim=2)
 
     def coeff(xs):

@@ -57,6 +57,24 @@ class TestApplyChannel:
         with pytest.raises(ValidationError):
             apply_channel(identity_channel(2), np.eye(3, dtype=complex))
 
+    @pytest.mark.parametrize("dim", [2, 3, 4])
+    @pytest.mark.parametrize("num_k", [1, 2, 3, 4, 5, 6])
+    def test_matches_explicit_kraus_sum(self, rng, dim, num_k):
+        g = rng.standard_normal((num_k, dim, dim)) + 1j * rng.standard_normal((num_k, dim, dim))
+        w, v = np.linalg.eigh(np.einsum("kba,kbc->ac", g.conj(), g))
+        kraus = g @ (v / np.sqrt(w)) @ v.conj().T  # normalized: sum K^dag K = I
+        ch = KrausChannel(dim=dim, kraus=tuple(kraus))
+        for shape in [(), (5,), (3, 4)]:
+            a = rng.standard_normal(shape + (dim, dim)) + 1j * rng.standard_normal(shape + (dim, dim))
+            rho = a @ np.swapaxes(a.conj(), -1, -2)
+            rho = rho / np.trace(rho, axis1=-2, axis2=-1)[..., None, None]
+            expected = np.zeros_like(rho)
+            for k in kraus:
+                expected += k @ rho @ k.conj().T
+            out = apply_channel(ch, rho)
+            assert out.shape == rho.shape
+            np.testing.assert_allclose(out, expected, rtol=0, atol=1e-14)
+
 
 class TestTracePreservation:
     def test_identity(self):

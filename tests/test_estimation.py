@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -27,7 +32,7 @@ from qest.linalg import (
     pure_to_density,
 )
 
-from conftest import random_density, random_hermitian
+from conftest import random_density, random_hermitian, random_pure
 
 
 class TestSld:
@@ -137,6 +142,32 @@ class TestChannelQfi:
         res = channel_qfi(fam, random_density(rng, 2), 0.03)
         assert abs(np.trace(res.drho)) < 1e-10
         assert np.max(np.abs(res.drho - dagger(res.drho))) == 0.0
+
+
+class TestQfiEvaluator:
+    @pytest.mark.parametrize("dim_a", [1, 2])
+    def test_batch_matches_per_state_channel_qfi(self, rng, dim_a):
+        fam = family_from_low_noise(random_low_noise(11, num_m=3))
+        if dim_a > 1:
+            fam = extend_family(fam, dim_a)
+        rhos = pure_to_density(np.stack([random_pure(rng, fam.dim) for _ in range(500)]))
+        batch = QfiEvaluator(fam, 0.05).qfi(rhos)
+        single = [channel_qfi(fam, rho, 0.05).qfi for rho in rhos]
+        np.testing.assert_allclose(batch, single, rtol=1e-12, atol=0)
+
+    def test_rejects_a_state_of_the_wrong_dimension(self):
+        ev = QfiEvaluator(extend_family(family_from_low_noise(depolarizing()), 2), 0.1)
+        for rho in (ID2 / 2, np.eye(3, dtype=complex) / 3, np.ones(4, dtype=complex)):
+            with pytest.raises(ValidationError):
+                ev.qfi(rho)
+
+
+def test_import_does_not_load_scipy_optimize():
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    code = "import qest, sys; assert 'scipy.optimize' not in sys.modules"
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
 
 
 class TestOptimalEstimator:

@@ -2,13 +2,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qest.errors import ValidationError
+from qest.catalog import random_low_noise
+from qest.errors import ConvergenceError, ValidationError
 from qest.linalg import (
     ID2,
     SIGMA_X,
     SIGMA_Y,
     SIGMA_Z,
     bloch_to_density,
+    check_density,
     dagger,
     density_to_bloch,
     fibonacci_sphere,
@@ -17,6 +19,7 @@ from qest.linalg import (
     pauli_decompose,
     tensor_product,
 )
+from qest.lownoise import noise_geometry
 
 from conftest import random_density, random_hermitian
 
@@ -81,6 +84,85 @@ class TestHermitianEig:
         m = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
         with pytest.raises(ValidationError):
             hermitian_eig(m)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite(self, bad):
+        for m in ([[bad, 0.0], [0.0, 1.0]], [[1.0, bad], [bad, 1.0]]):
+            with pytest.raises(ValidationError):
+                hermitian_eig(np.array(m, dtype=complex))
+
+    def test_lapack_failure_is_a_convergence_error(self, monkeypatch):
+        def failing(a):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigh", failing)
+        with pytest.raises(ConvergenceError):
+            hermitian_eig(SIGMA_X)
+
+
+def _random_unitary(rng, n):
+    q, r = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+def _check_eigensystem(m, w, v):
+    """Ascending eigenvalues equal to eigvalsh's, unitary V, m = V diag(w) V^dag,
+    and each column's largest-magnitude component real and positive (with
+    components of equal magnitude, one of them)."""
+    norm = np.max(np.linalg.norm(m, ord=2, axis=(-2, -1)))
+    n = m.shape[-1]
+    assert np.all(np.diff(w, axis=-1) >= 0.0)
+    assert np.max(np.abs(w - np.linalg.eigvalsh(m))) <= 1e-14 * norm
+    assert np.max(np.abs(dagger(v) @ v - np.eye(n))) <= 1e-14 * n
+    assert np.max(np.abs((v * w[..., None, :]) @ dagger(v) - m)) <= 1e-14 * n * norm
+    mag = np.abs(v)
+    largest = mag >= np.max(mag, axis=-2, keepdims=True) - 1e-12
+    real_positive = (v.real > 0.0) & (np.abs(v.imag) <= 1e-15)
+    assert np.all(np.any(largest & real_positive, axis=-2))
+
+
+class TestHermitianEigKernel:
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_random_batches(self, rng, n):
+        for shape in [(), (200,), (3, 5)]:
+            a = rng.standard_normal(shape + (n, n)) + 1j * rng.standard_normal(shape + (n, n))
+            m = 0.5 * (a + dagger(a))
+            w, v = hermitian_eig(m)
+            assert w.shape == shape + (n,) and v.shape == shape + (n, n)
+            _check_eigensystem(m, w, v)
+
+    @pytest.mark.parametrize(
+        "spectrum", [[1.0, 1.0], [-2.0, 3.0, 3.0], [0.0, 0.0, 0.0], [1.0, 1.0, 5.0, 5.0], [2.0] * 4]
+    )
+    def test_exactly_degenerate_spectra(self, rng, spectrum):
+        n = len(spectrum)
+        us = np.stack([_random_unitary(rng, n) for _ in range(50)])
+        m = (us * np.asarray(spectrum)[None, None, :]) @ dagger(us)
+        m = 0.5 * (m + dagger(m))
+        w, v = hermitian_eig(m)
+        _check_eigensystem(m, w, v)
+        scale = max(1.0, float(np.max(np.abs(spectrum))))
+        np.testing.assert_allclose(w, np.broadcast_to(spectrum, w.shape), atol=1e-14 * n * scale)
+
+    def test_weak_noise_geometry_is_resolved(self):
+        # every noise operator of seed 83 scaled by 1e-6: H has entries near
+        # 1e-12, and its eigenvalues must still be right relative to their size
+        ms = [1e-6 * m for m in random_low_noise(83, num_m=4).noise_ops]
+        h = noise_geometry(ms).h.astype(complex)
+        w, _ = hermitian_eig(h)
+        ref = np.linalg.eigvalsh(h)
+        assert np.max(np.abs(w - ref)) <= 1e-14 * ref[-1]
+
+
+class TestCheckDensity:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite(self, bad):
+        for rho in ([[bad, 0.0], [0.0, 1.0]], [[0.5, bad], [bad, 0.5]]):
+            with pytest.raises(ValidationError):
+                check_density(np.array(rho, dtype=complex))
+
+    def test_accepts_a_density(self, rng):
+        check_density(random_density(rng, 3))
 
 
 class TestTensorProduct:
