@@ -23,12 +23,12 @@ from __future__ import annotations
 
 import json
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import catalog
-from .channels import LowNoiseChannel, canonical_generator
+from .channels import LowNoiseChannel, from_noise_operators
 from .errors import SchemaError
 from .unitary import UnitaryFamily
 
@@ -146,10 +146,7 @@ def channel_from_dict(data) -> ParsedChannel:
         ms.append(m)
 
     if "kappa" not in data and "N1" not in data:
-        ln = LowNoiseChannel(
-            dim=dim, **_canonical_fields(ms), name="low_noise",
-        )
-        return ParsedChannel(kind=kind, dim=dim, low_noise=ln)
+        return ParsedChannel(kind=kind, dim=dim, low_noise=from_noise_operators(ms))
 
     kappas = [
         complex_from_json(v, f"$.kappa[{i}]")
@@ -164,29 +161,8 @@ def channel_from_dict(data) -> ParsedChannel:
         n1.append(m)
     if len(kappas) != len(n1):
         raise SchemaError("kappa and N1 must have the same length", "$.N1")
-    generate, eps_max = canonical_generator(ms)
-    ln = LowNoiseChannel(
-        dim=dim,
-        kappas=tuple(kappas),
-        first_order=tuple(n1),
-        noise_ops=tuple(ms),
-        generator=generate,
-        validity=(0.0, 0.9 * eps_max),
-        name="low_noise",
-    )
+    ln = replace(from_noise_operators(ms), kappas=tuple(kappas), first_order=tuple(n1))
     return ParsedChannel(kind=kind, dim=dim, low_noise=ln)
-
-
-def _canonical_fields(ms):
-    generate, eps_max = canonical_generator(ms)
-    s = sum(np.conj(m.T) @ m for m in ms)
-    return {
-        "kappas": (1.0 + 0.0j,),
-        "first_order": (0.5 * s,),
-        "noise_ops": tuple(ms),
-        "generator": generate,
-        "validity": (0.0, 0.9 * eps_max),
-    }
 
 
 def load_channel_file(path: str) -> ParsedChannel:

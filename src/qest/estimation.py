@@ -2,9 +2,15 @@
 
 The symmetric logarithmic derivative L of a family rho_theta solves
 ``d rho = (L rho + rho L)/2`` and is Hermitian; the quantum Fisher information
-is ``tr(rho L^2)``.  For channel families the derivative of the output state
-is taken by central differences with one Richardson level, so the pipeline
-works for any family with an exact Kraus generator.
+is ``tr(rho L^2) = sum_ij 2 |d_ij|^2 / (p_i + p_j)`` in the eigenbasis of rho.
+For channel families the derivative of the output state is taken by central
+differences with one Richardson level, so the pipeline works for any family
+with an exact Kraus generator.
+
+The QFI itself never builds L: for qubit outputs it is closed form in the
+Bloch vectors of rho and d rho (no eigensolve), for larger outputs it is the
+sum above over one batched eigensolve.  Only :func:`sld` and
+:meth:`QfiEvaluator.result` build the SLD matrix.
 
 Input-state maximization is a deterministic dense search (Fibonacci grid on
 the Bloch sphere for qubits, a Schmidt-form grid for qubit + qubit) followed
@@ -21,9 +27,12 @@ import numpy as np
 from .channels import ChannelFamily, apply_transfer
 from .errors import DegenerateFamilyError, ParameterRangeError, ValidationError
 from .linalg import (
+    bloch_angles,
+    bloch_state,
     bloch_to_density,
     check_hermitian,
     dagger,
+    density_to_bloch,
     fibonacci_sphere,
     hermitian_eig,
     pure_to_density,
@@ -61,16 +70,44 @@ def default_fd_step(theta: float) -> float:
     return max(1e-5, 1e-3 * abs(theta))
 
 
-def _sld_from_eigensystem(p, v, drho, kernel_tol):
-    """SLD and QFI given the eigensystem of rho; fully batched."""
-    dt = dagger(v) @ drho @ v
+def _sld_weights(p, kernel_tol):
+    """``2 / (p_i + p_j)``, or 0 where ``p_i + p_j <= kernel_tol`` (the kernel
+    of rho); the SLD in the eigenbasis of rho is ``w * d``; batched."""
     denom = p[..., :, None] + p[..., None, :]
-    mask = denom > kernel_tol
-    lt = np.where(mask, 2.0 * dt / np.where(mask, denom, 1.0), 0.0)
-    qfi = np.einsum("...i,...ij->...", p, np.abs(lt) ** 2)
-    sld_mat = v @ lt @ dagger(v)
-    sld_mat = 0.5 * (sld_mat + dagger(sld_mat))
-    return sld_mat, np.real(qfi)
+    return np.divide(2.0, denom, out=np.zeros_like(denom), where=denom > kernel_tol)
+
+
+def _sld_from_eigensystem(p, v, drho, kernel_tol):
+    """SLD matrix given the eigensystem of rho; fully batched."""
+    sld_mat = v @ (_sld_weights(p, kernel_tol) * (dagger(v) @ drho @ v)) @ dagger(v)
+    return 0.5 * (sld_mat + dagger(sld_mat))
+
+
+def _qfi_values(rho, drho, kernel_tol):
+    """QFI ``sum_ij 2 |d_ij|^2 / (p_i + p_j)`` over ``p_i + p_j > kernel_tol``
+    of a batch ``(..., d, d)``, without building the SLD.
+
+    For d = 2 it is closed form: with ``rho = (s I + r.sigma)/2``,
+    ``drho = (t I + dr.sigma)/2`` and ``a = r.dr/|r|`` (0 at r = 0), the
+    eigenvalues are ``(s -+ |r|)/2`` and the QFI is
+    ``(t - a)^2/2 / (s - |r|) + (t + a)^2/2 / (s + |r|) + (|dr|^2 - a^2) / s``,
+    each term kept only where its denominator exceeds ``kernel_tol``.
+    """
+    if rho.shape[-1] == 2:
+        check_hermitian(rho, tol=1e-8)
+        r, dr = density_to_bloch(rho), density_to_bloch(drho)
+        s = np.real(rho[..., 0, 0] + rho[..., 1, 1])
+        t = np.real(drho[..., 0, 0] + drho[..., 1, 1])
+        nr = np.sqrt(np.einsum("...i,...i->...", r, r))
+        a = np.einsum("...i,...i->...", r, dr)
+        a = np.divide(a, nr, out=np.zeros_like(nr), where=nr > 0.0)
+        num = np.stack([(t - a) ** 2 / 2.0, (t + a) ** 2 / 2.0,
+                        np.einsum("...i,...i->...", dr, dr) - a * a])
+        den = np.stack([s - nr, s + nr, s])
+        return np.divide(num, den, out=np.zeros_like(num), where=den > kernel_tol).sum(axis=0)
+    p, v = hermitian_eig(rho, tol=1e-8)
+    d = dagger(v) @ drho @ v
+    return np.einsum("...ij,...ij->...", _sld_weights(p, kernel_tol), d.real ** 2 + d.imag ** 2)
 
 
 def sld(rho: np.ndarray, drho: np.ndarray, kernel_tol: float = KERNEL_TOL) -> np.ndarray:
@@ -86,8 +123,7 @@ def sld(rho: np.ndarray, drho: np.ndarray, kernel_tol: float = KERNEL_TOL) -> np
     if rho.shape != drho.shape:
         raise ValidationError(f"rho shape {rho.shape} != drho shape {drho.shape}")
     p, v = hermitian_eig(rho, tol=1e-8)
-    mat, _ = _sld_from_eigensystem(p, v, drho, kernel_tol)
-    return mat
+    return _sld_from_eigensystem(p, v, drho, kernel_tol)
 
 
 def qfi(rho: np.ndarray, sld_op: np.ndarray) -> float:
@@ -140,19 +176,14 @@ class QfiEvaluator:
 
     def qfi(self, rho_in: np.ndarray, kernel_tol: float = KERNEL_TOL) -> np.ndarray:
         """QFI of the output family for a batch of input states ``(..., d, d)``."""
-        rho, drho = self.output_and_derivative(rho_in)
-        p, v = hermitian_eig(rho, tol=1e-8)
-        _, vals = _sld_from_eigensystem(p, v, drho, kernel_tol)
-        return vals
+        return _qfi_values(*self.output_and_derivative(rho_in), kernel_tol)
 
     def result(self, rho_in: np.ndarray, kernel_tol: float = KERNEL_TOL) -> EstimationResult:
         rho, drho = self.output_and_derivative(rho_in)
+        val = float(_qfi_values(rho, drho, kernel_tol))
         p, v = hermitian_eig(rho, tol=1e-8)
-        sld_mat, val = _sld_from_eigensystem(p, v, drho, kernel_tol)
-        val = float(val)
-        estimator = None
-        if val > DEGENERATE_QFI_TOL:
-            estimator = sld_mat / val + self.theta * np.eye(rho.shape[-1])
+        sld_mat = _sld_from_eigensystem(p, v, drho, kernel_tol)
+        estimator = _estimator(sld_mat, val, self.theta) if val > DEGENERATE_QFI_TOL else None
         return EstimationResult(
             theta=self.theta,
             rho=rho,
@@ -189,19 +220,12 @@ def optimal_estimator(res: EstimationResult, tol: float = DEGENERATE_QFI_TOL) ->
         raise DegenerateFamilyError(
             f"QFI = {res.qfi:.3e} carries no information; no estimator exists"
         )
-    return res.sld / res.qfi + res.theta * np.eye(res.rho.shape[-1])
+    return _estimator(res.sld, res.qfi, res.theta)
 
 
-def _bloch_angles(x):
-    polar = float(np.arccos(np.clip(x[2], -1.0, 1.0)))
-    azim = float(np.arctan2(x[1], x[0]))
-    return polar, azim
-
-
-def _bloch_state(polar, azim):
-    return np.array(
-        [np.cos(polar / 2.0), np.exp(1j * azim) * np.sin(polar / 2.0)], dtype=complex
-    )
+def _estimator(sld_mat, qfi_val, theta):
+    """``L/J + theta I``, the Cramer-Rao-saturating observable."""
+    return sld_mat / qfi_val + theta * np.eye(sld_mat.shape[-1])
 
 
 def _schmidt_states(chi, phi, polar, azim):
@@ -212,9 +236,7 @@ def _schmidt_states(chi, phi, polar, azim):
     the extended channel acts trivially on the ancilla.
     """
     chi, phi, polar, azim = np.broadcast_arrays(chi, phi, polar, azim)
-    u0 = np.stack(
-        [np.cos(polar / 2.0) + 0j, np.exp(1j * azim) * np.sin(polar / 2.0)], axis=-1
-    )
+    u0 = bloch_state(polar, azim)
     u1 = np.stack(
         [-np.exp(-1j * azim) * np.sin(polar / 2.0), np.cos(polar / 2.0) + 0j], axis=-1
     )
@@ -249,10 +271,10 @@ def maximize_qfi_pure(
         grid = fibonacci_sphere(cfg.sphere_points)
         vals = ev.qfi(bloch_to_density(grid))
         best = int(np.argmax(vals))
-        params = np.array(_bloch_angles(grid[best]))
+        params = np.array(bloch_angles(grid[best]))
 
         def state(t):
-            return _bloch_state(t[0], t[1])
+            return bloch_state(t[0], t[1])
     else:
         n = cfg.schmidt_points
         chi = np.linspace(0.0, np.pi / 2.0, n)

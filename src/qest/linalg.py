@@ -164,6 +164,19 @@ def density_to_bloch(rho: np.ndarray) -> np.ndarray:
     return x
 
 
+def bloch_angles(x: np.ndarray) -> tuple[float, float]:
+    """Polar and azimuthal angle of a nonzero Bloch vector."""
+    polar = float(np.arccos(np.clip(x[2] / max(np.linalg.norm(x), 1e-300), -1.0, 1.0)))
+    azim = float(np.arctan2(x[1], x[0]))
+    return polar, azim
+
+
+def bloch_state(polar, azim) -> np.ndarray:
+    """Pure qubit state(s) with Bloch vector at the given polar and azimuthal
+    angles, batched over angle arrays of one shape."""
+    return np.stack([np.cos(polar / 2.0) + 0j, np.exp(1j * azim) * np.sin(polar / 2.0)], axis=-1)
+
+
 def check_density(rho: np.ndarray, tol: float = HERMITIAN_TOL, psd_tol: float = PSD_TOL) -> None:
     """Validate a density operator: Hermitian, unit trace, eigenvalues >= -psd_tol."""
     rho = np.asarray(rho, dtype=complex)
@@ -174,16 +187,6 @@ def check_density(rho: np.ndarray, tol: float = HERMITIAN_TOL, psd_tol: float = 
     w, _ = hermitian_eig(rho, tol=max(tol, 1e-8))
     if float(np.min(w)) < -psd_tol:
         raise ValidationError(f"density operator has eigenvalue {float(np.min(w)):.3e} < -{psd_tol:.1e}")
-
-
-def check_pure(psi: np.ndarray, tol: float = 1e-9) -> None:
-    """Validate a pure-state amplitude vector (unit Euclidean norm)."""
-    psi = np.asarray(psi, dtype=complex)
-    if psi.ndim != 1:
-        raise ValidationError(f"expected an amplitude vector, got shape {psi.shape}")
-    nrm = float(np.linalg.norm(psi))
-    if abs(nrm - 1.0) > tol:
-        raise ValidationError(f"state vector norm {nrm:.12f} is not 1")
 
 
 def pure_to_density(psi: np.ndarray) -> np.ndarray:

@@ -30,6 +30,8 @@ from .errors import (
     ValidationError,
 )
 from .linalg import (
+    bloch_angles,
+    bloch_state,
     bloch_to_density,
     dagger,
     fibonacci_sphere,
@@ -330,8 +332,7 @@ def eta_bruteforce(noise_ops, grid_size: int = 10_000) -> float:
     dirs = fibonacci_sphere(grid_size)
     sphere_vals = coeff(dirs)
     i = int(np.argmax(sphere_vals))
-    polar = float(np.arccos(np.clip(dirs[i, 2], -1.0, 1.0)))
-    azim = float(np.arctan2(dirs[i, 1], dirs[i, 0]))
+    polar, azim = bloch_angles(dirs[i])
 
     def sphere_obj(t):
         x = np.array(
@@ -376,11 +377,7 @@ def optimal_input_states(report: EnhancementReport) -> tuple[np.ndarray, np.ndar
     explicit.
     """
     xs = np.asarray(report.x_sphere, dtype=float)
-    polar = float(np.arccos(np.clip(xs[2] / max(np.linalg.norm(xs), 1e-300), -1.0, 1.0)))
-    azim = float(np.arctan2(xs[1], xs[0]))
-    pure = np.array(
-        [np.cos(polar / 2.0), np.exp(1j * azim) * np.sin(polar / 2.0)], dtype=complex
-    )
+    pure = bloch_state(*bloch_angles(xs))
 
     rho = bloch_to_density(np.asarray(report.x_ball, dtype=float))
     w, v = hermitian_eig(rho)

@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qest.catalog import depolarizing, random_low_noise
+from qest.catalog import depolarizing, random_low_noise, rotation_unitary
 from qest.channels import (
     ChannelFamily,
     extend_family,
@@ -15,6 +15,7 @@ from qest.channels import (
 )
 from qest.errors import DegenerateFamilyError, ParameterRangeError, ValidationError
 from qest.estimation import (
+    KERNEL_TOL,
     QfiEvaluator,
     SearchConfig,
     channel_qfi,
@@ -23,16 +24,46 @@ from qest.estimation import (
     qfi,
     sld,
 )
+from qest.estimation import _qfi_values
 from qest.linalg import (
     ID2,
     bloch_to_density,
     dagger,
+    density_to_bloch,
     fibonacci_sphere,
     partial_trace,
     pure_to_density,
 )
+from qest.unitary import unitary_channel_family
 
 from conftest import random_density, random_hermitian, random_pure
+
+
+def eigenbasis_qfi(rho, drho, kernel_tol=KERNEL_TOL):
+    """Reference: sum of 2 |d_ij|^2 / (p_i + p_j) over p_i + p_j > kernel_tol,
+    one state at a time through numpy's eigh."""
+    out = []
+    for r, d in zip(rho.reshape(-1, *rho.shape[-2:]), drho.reshape(-1, *drho.shape[-2:])):
+        p, v = np.linalg.eigh(r)
+        dt = dagger(v) @ d @ v
+        n = len(p)
+        out.append(sum(2.0 * abs(dt[i, j]) ** 2 / (p[i] + p[j])
+                       for i in range(n) for j in range(n) if p[i] + p[j] > kernel_tol))
+    return np.array(out).reshape(rho.shape[:-2])
+
+
+def sld_based_qfi(rho, drho, kernel_tol=KERNEL_TOL):
+    """Reference: ``sum_ij p_i |L_ij|^2`` from the eigenbasis SLD, batched."""
+    p, v = np.linalg.eigh(rho)
+    dt = dagger(v) @ drho @ v
+    denom = p[..., :, None] + p[..., None, :]
+    mask = denom > kernel_tol
+    lt = np.where(mask, 2.0 * dt / np.where(mask, denom, 1.0), 0.0)
+    return np.einsum("...i,...ij->...", p, np.abs(lt) ** 2)
+
+
+def random_hermitian_stack(rng, num, n):
+    return np.stack([random_hermitian(rng, n) for _ in range(num)])
 
 
 class TestSld:
@@ -160,6 +191,82 @@ class TestQfiEvaluator:
         for rho in (ID2 / 2, np.eye(3, dtype=complex) / 3, np.ones(4, dtype=complex)):
             with pytest.raises(ValidationError):
                 ev.qfi(rho)
+
+
+class TestQfiValues:
+    """The closed-form qubit QFI against the eigenbasis formula it replaces."""
+
+    def test_random_outputs(self, rng):
+        rho = np.stack([random_density(rng, 2) for _ in range(500)])
+        drho = random_hermitian_stack(rng, 500, 2)  # nonzero trace
+        keep = 1.0 - np.linalg.norm(density_to_bloch(rho), axis=-1) >= 1e-3
+        assert keep.sum() > 400
+        np.testing.assert_allclose(_qfi_values(rho[keep], drho[keep], KERNEL_TOL),
+                                   eigenbasis_qfi(rho[keep], drho[keep]), rtol=1e-12, atol=0)
+
+    def test_maximally_mixed_output(self, rng):
+        drho = random_hermitian_stack(rng, 50, 2)
+        got = _qfi_values(np.broadcast_to(ID2 / 2, drho.shape), drho, KERNEL_TOL)
+        # every p_i + p_j is 1, so the QFI is 2 ||drho||_F^2
+        np.testing.assert_allclose(got, 2.0 * np.sum(np.abs(drho) ** 2, axis=(-2, -1)),
+                                   rtol=1e-14, atol=0)
+
+    def test_trace_only_derivative(self, rng):
+        rho = np.stack([random_density(rng, 2) for _ in range(50)])
+        drho = np.broadcast_to(0.3 * ID2, rho.shape)
+        p = np.linalg.eigvalsh(rho)
+        np.testing.assert_allclose(_qfi_values(rho, drho, KERNEL_TOL),
+                                   0.09 * np.sum(1.0 / p, axis=-1), rtol=1e-12, atol=0)
+
+    def test_pure_outputs_mask_the_kernel_term(self, rng):
+        ev = QfiEvaluator(unitary_channel_family(rotation_unitary([0.6, 0.0, 0.8])), 0.7)
+        psi = np.stack([random_pure(rng, 2) for _ in range(200)])
+        rho, drho = ev.output_and_derivative(pure_to_density(psi))
+        np.testing.assert_allclose(ev.qfi(pure_to_density(psi)), eigenbasis_qfi(rho, drho),
+                                   rtol=1e-12, atol=0)
+        # a derivative with weight on the kernel of a pure rho: that term is
+        # dropped by both paths, the rest agrees
+        drho = random_hermitian_stack(rng, 200, 2)
+        np.testing.assert_allclose(_qfi_values(rho, drho, KERNEL_TOL),
+                                   eigenbasis_qfi(rho, drho), rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("delta", np.geomspace(1e-12, 1e-3, 8))
+    def test_nearly_pure_outputs(self, rng, delta):
+        n = rng.standard_normal((200, 3))
+        rho = bloch_to_density((1.0 - delta) * n / np.linalg.norm(n, axis=-1)[:, None])
+        drho = random_hermitian_stack(rng, 200, 2)
+        # both paths know the small eigenvalue delta/2 only to an absolute
+        # rounding error of a few 1e-16, so its term carries a relative
+        # error of that over delta; delta = 1e-12 and 2e-11 sit in the kernel
+        np.testing.assert_allclose(_qfi_values(rho, drho, KERNEL_TOL), eigenbasis_qfi(rho, drho),
+                                   rtol=1e-12 + 1e-14 / delta, atol=0)
+
+    def test_dim_4_matches_the_sld_based_value(self, rng):
+        fam = extend_family(family_from_low_noise(random_low_noise(4, num_m=3)), 2)
+        ev = QfiEvaluator(fam, 0.05)
+        inputs = np.concatenate([
+            pure_to_density(np.stack([random_pure(rng, 4) for _ in range(300)])),
+            np.stack([random_density(rng, 4) for _ in range(100)]),
+        ])
+        rho, drho = ev.output_and_derivative(inputs)
+        np.testing.assert_allclose(ev.qfi(inputs), sld_based_qfi(rho, drho), rtol=1e-14, atol=0)
+
+    @pytest.mark.parametrize("dim_a", [1, 2])
+    def test_result_equals_batch_value(self, rng, dim_a):
+        fam = family_from_low_noise(random_low_noise(6, num_m=2))
+        fam = extend_family(fam, dim_a) if dim_a > 1 else fam
+        ev = QfiEvaluator(fam, 0.1)
+        for _ in range(20):
+            rho_in = random_density(rng, fam.dim)
+            assert ev.result(rho_in).qfi == float(ev.qfi(rho_in))
+
+    def test_nan_output_is_refused_on_the_qubit_path(self):
+        rho = np.array([[np.nan, 0.0], [0.0, 0.5]], dtype=complex)
+        with pytest.raises(ValidationError):
+            _qfi_values(rho, np.zeros((2, 2), dtype=complex), KERNEL_TOL)
+        ev = QfiEvaluator(family_from_low_noise(depolarizing()), 0.1)
+        with pytest.raises(ValidationError):
+            ev.qfi(rho)
 
 
 def test_import_does_not_load_scipy_optimize():

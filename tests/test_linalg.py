@@ -5,6 +5,8 @@ from hypothesis import given, settings, strategies as st
 from qest.catalog import random_low_noise
 from qest.errors import ConvergenceError, ValidationError
 from qest.linalg import (
+    bloch_angles,
+    bloch_state,
     ID2,
     SIGMA_X,
     SIGMA_Y,
@@ -17,6 +19,7 @@ from qest.linalg import (
     hermitian_eig,
     partial_trace,
     pauli_decompose,
+    pure_to_density,
     tensor_product,
 )
 from qest.lownoise import noise_geometry
@@ -274,6 +277,21 @@ class TestBloch:
         rhos = bloch_to_density(xs)
         assert rhos.shape == (10, 2, 2)
         np.testing.assert_allclose(density_to_bloch(rhos), xs, atol=1e-12)
+
+    def test_angles_and_state_round_trip(self, rng):
+        for scale in (1.0, 0.3, 1e-8):
+            x = scale * rng.standard_normal(3)
+            psi = bloch_state(*bloch_angles(x))
+            assert psi.shape == (2,)
+            np.testing.assert_allclose(
+                density_to_bloch(pure_to_density(psi)), x / np.linalg.norm(x), atol=1e-12
+            )
+
+    def test_state_is_batched_over_angles(self):
+        polar, azim = np.meshgrid(np.linspace(0.0, np.pi, 5), np.linspace(0.0, 6.0, 4))
+        batch = bloch_state(polar, azim)
+        assert batch.shape == (4, 5, 2)
+        np.testing.assert_array_equal(batch[3, 1], bloch_state(polar[3, 1], azim[3, 1]))
 
 
 def test_fibonacci_sphere_is_unit_norm():

@@ -1,0 +1,26 @@
+"""Smoke tests: the experiment scripts run to completion on small inputs."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+@pytest.mark.parametrize(
+    "script, args",
+    [
+        ("eta_survey.py", ["--count", "20"]),
+        ("leading_convergence.py", ["--random", "1", "--eps", "1e-2"]),
+    ],
+)
+def test_script_exits_cleanly(script, args):
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / script), *args],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
