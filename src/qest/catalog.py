@@ -9,6 +9,8 @@ singular noise metric and gains nothing from an ancilla (eta = 1).
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 
 from .channels import LowNoiseChannel, from_noise_operators
@@ -18,21 +20,13 @@ from .unitary import UnitaryFamily
 
 
 def depolarizing() -> LowNoiseChannel:
-    """Isotropic depolarizing family, ``(1 - 3 eps/4) rho + (eps/4) sum sigma rho sigma``."""
-    ms = tuple(0.5 * s for s in PAULIS)
+    """Isotropic depolarizing family, ``(1 - 3 eps/4) rho + (eps/4) sum sigma rho sigma``.
 
-    def generate(eps: float):
-        return [np.sqrt(1.0 - 0.75 * eps) * ID2], [m.copy() for m in ms]
-
-    return LowNoiseChannel(
-        dim=2,
-        kappas=(1.0 + 0.0j,),
-        first_order=(0.375 * ID2,),
-        noise_ops=ms,
-        generator=generate,
-        validity=(0.0, 4.0 / 3.0),
-        name="depolarizing",
-    )
+    The canonical build of the noise operators ``sigma/2``, valid up to the
+    end of its square-root domain at 4/3.
+    """
+    ln = from_noise_operators([0.5 * s for s in PAULIS], name="depolarizing")
+    return replace(ln, validity=(0.0, 4.0 / 3.0))
 
 
 def gad(beta_e: float) -> LowNoiseChannel:

@@ -7,6 +7,10 @@ leading expansion data (kappa coefficients, first-order corrections, noise
 operators) together with an exact Kraus generator, so instantiating at any
 epsilon inside the validity interval yields an exactly trace-preserving
 channel rather than a truncated series.
+
+:func:`from_noise_operators` is the one canonical build, ``B(eps) = sqrt(I -
+eps sum M^dag M)``; channel files, random channels and depolarizing use it.
+:func:`validate_trace_preserving` is the one trace-preservation residual.
 """
 
 from __future__ import annotations
@@ -82,8 +86,8 @@ def apply_channel(ch: KrausChannel, rho: np.ndarray) -> np.ndarray:
     return apply_transfer(ch.transfer, ch.dim, rho)
 
 
-def validate_trace_preserving(ch: KrausChannel, tol: float = TP_TOL) -> float:
-    """Max-abs entry of ``sum_k K^dag K - I``; the caller compares against tol."""
+def validate_trace_preserving(ch: KrausChannel) -> float:
+    """Max-abs entry of ``sum_k K^dag K - I``; the caller compares it to a tolerance."""
     acc = np.zeros((ch.dim, ch.dim), dtype=complex)
     for k in ch.kraus:
         acc += dagger(k) @ k
@@ -133,7 +137,8 @@ class LowNoiseChannel:
         object.__setattr__(self, "kappas", tuple(complex(k) for k in self.kappas))
         if len(self.kappas) != len(self.first_order):
             raise ValidationError("need one first-order operator per kappa")
-        knorm = sum(abs(k) ** 2 for k in self.kappas)
+        # a float product overflows to inf, where ``abs(k) ** 2`` would raise
+        knorm = sum(abs(k) * abs(k) for k in self.kappas)
         if abs(knorm - 1.0) > 1e-8:
             raise ValidationError(f"sum |kappa|^2 = {knorm:.12f} must be 1")
         lo, hi = self.validity
@@ -166,7 +171,7 @@ def instantiate(ln: LowNoiseChannel, eps: float) -> KrausChannel:
     return ch
 
 
-def validate_first_order(ln: LowNoiseChannel, tol: float = 1e-10) -> float:
+def validate_first_order(ln: LowNoiseChannel) -> float:
     """Residual of the first-order trace-preservation relation.
 
     Returns the max-abs entry of
@@ -181,14 +186,16 @@ def validate_first_order(ln: LowNoiseChannel, tol: float = 1e-10) -> float:
     return float(np.max(np.abs(lhs - rhs)))
 
 
-def canonical_generator(noise_ops) -> tuple[KrausGenerator, float]:
-    """Exact single-B generator for a set of noise operators.
+def from_noise_operators(noise_ops, name: str = "low_noise") -> LowNoiseChannel:
+    """Build the canonical low-noise channel determined by its noise operators.
 
-    ``B(eps) = sqrt(I - eps * sum_alpha M^dag M)`` (principal square root), so
-    trace preservation holds exactly for every eps below ``1/lambda_max`` of
-    the noise sum.  Returns the generator and that critical eps.
+    The single-B generator ``B(eps) = sqrt(I - eps * sum_alpha M^dag M)``
+    (principal square root) is trace preserving exactly for every eps below
+    ``1/lambda_max`` of the noise sum; it gives kappa = (1,) and a first-order
+    correction of half the noise sum.  The validity interval is capped at 90%
+    of the square-root domain.
     """
-    ms = [np.asarray(m, dtype=complex) for m in noise_ops]
+    ms = tuple(np.asarray(m, dtype=complex) for m in noise_ops)
     if not ms:
         raise ValidationError("need at least one noise operator")
     dim = ms[0].shape[0]
@@ -207,58 +214,15 @@ def canonical_generator(noise_ops) -> tuple[KrausGenerator, float]:
         b = (v * np.sqrt(diag)) @ dagger(v)
         return [b], list(ms)
 
-    return generate, 1.0 / lam_max
-
-
-def from_noise_operators(noise_ops, name: str = "low_noise") -> LowNoiseChannel:
-    """Build the canonical low-noise channel determined by its noise operators.
-
-    Uses the single-B square-root generator, which gives kappa = (1,) and a
-    first-order correction of half the noise sum; the validity interval is
-    capped at 90% of the square-root domain.
-    """
-    generate, eps_max = canonical_generator(noise_ops)
-    ms = tuple(np.asarray(m, dtype=complex) for m in noise_ops)
-    dim = ms[0].shape[0]
-    s = np.zeros((dim, dim), dtype=complex)
-    for m in ms:
-        s += dagger(m) @ m
     return LowNoiseChannel(
         dim=dim,
         kappas=(1.0 + 0.0j,),
         first_order=(0.5 * s,),
         noise_ops=ms,
         generator=generate,
-        validity=(0.0, 0.9 * eps_max),
+        validity=(0.0, 0.9 * (1.0 / lam_max)),
         name=name,
     )
-
-
-def first_order_from_generator(
-    generator: KrausGenerator, dim: int, step: float = 1e-5
-) -> tuple[tuple[complex, ...], tuple[np.ndarray, ...], tuple[np.ndarray, ...]]:
-    """Recover (kappas, first_order, noise_ops) from an exact generator.
-
-    The derivative of each B at eps = 0 is taken by one-sided differences with
-    one Richardson level (the generator may be undefined for eps < 0).
-    """
-    b0, c0 = generator(0.0)
-    kappas = []
-    for b in b0:
-        b = np.asarray(b, dtype=complex)
-        kap = complex(np.trace(b)) / dim
-        if np.max(np.abs(b - kap * np.eye(dim))) > 1e-8:
-            raise ValidationError("B(0) is not proportional to the identity")
-        kappas.append(kap)
-    bh, _ = generator(step)
-    bh2, _ = generator(step / 2.0)
-    n1 = []
-    for b, bh_a, bh2_a in zip(b0, bh, bh2):
-        d1 = (np.asarray(bh_a, dtype=complex) - b) / step
-        d2 = (np.asarray(bh2_a, dtype=complex) - b) / (step / 2.0)
-        n1.append(-(2.0 * d2 - d1))  # Richardson: 2 D(h/2) - D(h) = B' + O(h^2)
-    ms = tuple(np.asarray(c, dtype=complex) for c in c0)
-    return tuple(kappas), tuple(n1), ms
 
 
 @dataclass(frozen=True)
@@ -274,15 +238,12 @@ class ChannelFamily:
     build: Callable[[float], KrausChannel]
     dim: int
 
-    def check_parameter(self, theta: float) -> None:
+    def evaluate(self, theta: float) -> KrausChannel:
         lo, hi = self.validity
         if not (lo <= theta <= hi):
             raise ParameterRangeError(
                 f"{self.parameter} = {theta} outside validity interval [{lo}, {hi}]"
             )
-
-    def evaluate(self, theta: float) -> KrausChannel:
-        self.check_parameter(theta)
         ch = self.build(theta)
         resid = validate_trace_preserving(ch)
         if resid > 1e-8:

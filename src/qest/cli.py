@@ -16,7 +16,13 @@ import sys
 import numpy as np
 
 from .channel_io import demo_dict, load_channel_file, matrix_to_json
-from .channels import extend_family, family_from_low_noise, validate_first_order
+from .channels import (
+    extend_family,
+    family_from_low_noise,
+    instantiate,
+    validate_first_order,
+    validate_trace_preserving,
+)
 from .errors import (
     DegenerateChannelError,
     DegenerateFamilyError,
@@ -68,28 +74,23 @@ def cmd_validate(args) -> int:
     parsed = load_channel_file(args.file)
     tol = _tolerance()
     if parsed.unitary is not None:
-        thetas = [0.1, 0.5, 1.0, 2.0]
-        residuals = {}
-        for theta in thetas:
-            u = parsed.unitary.evaluate(theta)
-            residuals[_fmt(theta)] = float(np.max(np.abs(u.conj().T @ u - np.eye(parsed.dim))))
+        family = unitary_channel_family(parsed.unitary)
+        residuals = {
+            _fmt(theta): validate_trace_preserving(family.build(theta))
+            for theta in (0.1, 0.5, 1.0, 2.0)
+        }
         ok = all(r < tol for r in residuals.values())
         _print_json({"type": parsed.kind, "unitarity_residuals": residuals, "ok": ok})
         return EXIT_OK if ok else EXIT_VALIDATION
 
     ln = parsed.low_noise
     lo, hi = ln.validity
-    tp_residuals = {}
-    for eps in np.linspace(lo, hi, 5):
-        bs, cs = ln.generator(float(eps))
-        acc = -np.eye(ln.dim, dtype=complex)
-        for b in bs:
-            acc += b.conj().T @ b
-        for c in cs:
-            acc += eps * (c.conj().T @ c)
-        tp_residuals[_fmt(eps)] = float(np.max(np.abs(acc)))
+    tp_residuals = {
+        _fmt(eps): validate_trace_preserving(instantiate(ln, float(eps)))
+        for eps in np.linspace(lo, hi, 5)
+    }
     first_order = validate_first_order(ln)
-    kappa_residual = abs(sum(abs(k) ** 2 for k in ln.kappas) - 1.0)
+    kappa_residual = abs(sum(abs(k) * abs(k) for k in ln.kappas) - 1.0)
     ok = (
         all(r < tol for r in tp_residuals.values())
         and first_order < tol

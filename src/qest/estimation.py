@@ -3,9 +3,10 @@
 The symmetric logarithmic derivative L of a family rho_theta solves
 ``d rho = (L rho + rho L)/2`` and is Hermitian; the quantum Fisher information
 is ``tr(rho L^2) = sum_ij 2 |d_ij|^2 / (p_i + p_j)`` in the eigenbasis of rho.
-For channel families the derivative of the output state is taken by central
-differences with one Richardson level, so the pipeline works for any family
-with an exact Kraus generator.
+For channel families the derivative of the output state is taken by
+:func:`richardson_derivative`, the package's one finite-difference rule, at
+step :func:`default_fd_step`; :func:`qest.unitary.log_hamiltonian` uses it at
+a fixed step.  Neither step nor the kernel tolerance is an argument.
 
 The QFI itself never builds L: for qubit outputs it is closed form in the
 Bloch vectors of rho and d rho (no eigensolve), for larger outputs it is the
@@ -70,6 +71,17 @@ def default_fd_step(theta: float) -> float:
     return max(1e-5, 1e-3 * abs(theta))
 
 
+def richardson_derivative(f, x: float, h: float):
+    """``f'(x)`` as ``(4 D(h/2) - D(h))/3``, error O(h^4) for smooth ``f``.
+
+    ``D(h) = (f(x+h) - f(x-h))/2h`` is the central difference at step ``h``;
+    ``f`` may return any array, and is called at ``x +- h`` and ``x +- h/2``.
+    """
+    d1 = (f(x + h) - f(x - h)) / (2.0 * h)
+    d2 = (f(x + h / 2.0) - f(x - h / 2.0)) / h
+    return (4.0 * d2 - d1) / 3.0
+
+
 def _sld_weights(p, kernel_tol):
     """``2 / (p_i + p_j)``, or 0 where ``p_i + p_j <= kernel_tol`` (the kernel
     of rho); the SLD in the eigenbasis of rho is ``w * d``; batched."""
@@ -77,9 +89,9 @@ def _sld_weights(p, kernel_tol):
     return np.divide(2.0, denom, out=np.zeros_like(denom), where=denom > kernel_tol)
 
 
-def _sld_from_eigensystem(p, v, drho, kernel_tol):
+def _sld_from_eigensystem(p, v, drho):
     """SLD matrix given the eigensystem of rho; fully batched."""
-    sld_mat = v @ (_sld_weights(p, kernel_tol) * (dagger(v) @ drho @ v)) @ dagger(v)
+    sld_mat = v @ (_sld_weights(p, KERNEL_TOL) * (dagger(v) @ drho @ v)) @ dagger(v)
     return 0.5 * (sld_mat + dagger(sld_mat))
 
 
@@ -110,11 +122,11 @@ def _qfi_values(rho, drho, kernel_tol):
     return np.einsum("...ij,...ij->...", _sld_weights(p, kernel_tol), d.real ** 2 + d.imag ** 2)
 
 
-def sld(rho: np.ndarray, drho: np.ndarray, kernel_tol: float = KERNEL_TOL) -> np.ndarray:
+def sld(rho: np.ndarray, drho: np.ndarray) -> np.ndarray:
     """Symmetric logarithmic derivative of a state and its parameter derivative.
 
     In the eigenbasis of rho the solution is ``L_ij = 2 d_ij / (p_i + p_j)``
-    wherever ``p_i + p_j > kernel_tol``; on the kernel of rho the SLD is not
+    wherever ``p_i + p_j > KERNEL_TOL``; on the kernel of rho the SLD is not
     determined, and this implementation sets it to zero there.
     """
     rho = np.asarray(rho, dtype=complex)
@@ -123,7 +135,7 @@ def sld(rho: np.ndarray, drho: np.ndarray, kernel_tol: float = KERNEL_TOL) -> np
     if rho.shape != drho.shape:
         raise ValidationError(f"rho shape {rho.shape} != drho shape {drho.shape}")
     p, v = hermitian_eig(rho, tol=1e-8)
-    return _sld_from_eigensystem(p, v, drho, kernel_tol)
+    return _sld_from_eigensystem(p, v, drho)
 
 
 def qfi(rho: np.ndarray, sld_op: np.ndarray) -> float:
@@ -136,37 +148,26 @@ class QfiEvaluator:
     """Pre-built channel evaluations for one (family, theta) point.
 
     Channels do not depend on the input state, so the five builds needed for
-    the Richardson derivative are done once, each through
-    ``family.evaluate`` with its trace-preservation check.  A channel is
-    linear in rho, so only two transfer matrices (see
-    :class:`~qest.channels.KrausChannel`) are kept: ``S(theta)`` and the
-    Richardson-combined derivative ``D = (4 d2 - d1)/3``, with
-    ``d1 = (S(theta+h) - S(theta-h))/2h`` and
-    ``d2 = (S(theta+h/2) - S(theta-h/2))/h``.  The output state and its
-    derivative for a batch of inputs are then two matrix products.
+    the derivative are done once, each through ``family.evaluate`` with its
+    parameter-range and trace-preservation checks.  A channel is linear in
+    rho, so only two transfer matrices (see
+    :class:`~qest.channels.KrausChannel`) are kept: ``S(theta)`` and its
+    :func:`richardson_derivative` at step :func:`default_fd_step`.  The
+    output state and its derivative for a batch of inputs are then two
+    matrix products.
     """
 
-    def __init__(self, family: ChannelFamily, theta: float, fd_step: float | None = None):
-        h = default_fd_step(theta) if fd_step is None else float(fd_step)
-        if h <= 0.0:
-            raise ValidationError(f"fd_step must be positive, got {h}")
+    def __init__(self, family: ChannelFamily, theta: float):
+        h = default_fd_step(theta)
         if abs(theta) < 10.0 * h:
             raise ParameterRangeError(
                 f"theta = {theta} is within 10 finite-difference steps of the "
                 "divergent point 0; use the leading-order coefficient instead"
             )
-        family.check_parameter(theta + h)
-        family.check_parameter(theta - h)
         self.family = family
         self.theta = float(theta)
-        self.fd_step = h
-        self._s0, sp, sm, sp2, sm2 = (
-            family.evaluate(t).transfer
-            for t in (theta, theta + h, theta - h, theta + h / 2.0, theta - h / 2.0)
-        )
-        d1 = (sp - sm) / (2.0 * h)
-        d2 = (sp2 - sm2) / h
-        self._ds = (4.0 * d2 - d1) / 3.0
+        self._s0 = family.evaluate(theta).transfer
+        self._ds = richardson_derivative(lambda t: family.evaluate(t).transfer, theta, h)
 
     def output_and_derivative(self, rho_in: np.ndarray):
         dim = self.family.dim
@@ -174,15 +175,15 @@ class QfiEvaluator:
         drho = 0.5 * (drho + dagger(drho))
         return apply_transfer(self._s0, dim, rho_in), drho
 
-    def qfi(self, rho_in: np.ndarray, kernel_tol: float = KERNEL_TOL) -> np.ndarray:
+    def qfi(self, rho_in: np.ndarray) -> np.ndarray:
         """QFI of the output family for a batch of input states ``(..., d, d)``."""
-        return _qfi_values(*self.output_and_derivative(rho_in), kernel_tol)
+        return _qfi_values(*self.output_and_derivative(rho_in), KERNEL_TOL)
 
-    def result(self, rho_in: np.ndarray, kernel_tol: float = KERNEL_TOL) -> EstimationResult:
+    def result(self, rho_in: np.ndarray) -> EstimationResult:
         rho, drho = self.output_and_derivative(rho_in)
-        val = float(_qfi_values(rho, drho, kernel_tol))
+        val = float(_qfi_values(rho, drho, KERNEL_TOL))
         p, v = hermitian_eig(rho, tol=1e-8)
-        sld_mat = _sld_from_eigensystem(p, v, drho, kernel_tol)
+        sld_mat = _sld_from_eigensystem(p, v, drho)
         estimator = _estimator(sld_mat, val, self.theta) if val > DEGENERATE_QFI_TOL else None
         return EstimationResult(
             theta=self.theta,
@@ -194,20 +195,14 @@ class QfiEvaluator:
         )
 
 
-def channel_qfi(
-    family: ChannelFamily,
-    rho_in: np.ndarray,
-    theta: float,
-    fd_step: float | None = None,
-    kernel_tol: float = KERNEL_TOL,
-) -> EstimationResult:
+def channel_qfi(family: ChannelFamily, rho_in: np.ndarray, theta: float) -> EstimationResult:
     """Exact-output QFI of a channel family at one parameter point.
 
     Refuses parameter values within ten finite-difference steps of zero,
     where the Fisher information of a noise family diverges like 1/theta and
     differencing is meaningless.
     """
-    return QfiEvaluator(family, theta, fd_step).result(rho_in, kernel_tol)
+    return QfiEvaluator(family, theta).result(rho_in)
 
 
 def optimal_estimator(res: EstimationResult, tol: float = DEGENERATE_QFI_TOL) -> np.ndarray:
@@ -251,7 +246,6 @@ def maximize_qfi_pure(
     theta: float,
     dim: int,
     search: SearchConfig | None = None,
-    fd_step: float | None = None,
 ) -> tuple[np.ndarray, float]:
     """Best pure input state found by dense grid search plus local refinement.
 
@@ -265,7 +259,7 @@ def maximize_qfi_pure(
         raise ValidationError(f"pure-state search supports dim 2 or 4, got {dim}")
     if family.dim != dim:
         raise ValidationError(f"family dimension {family.dim} != requested dim {dim}")
-    ev = QfiEvaluator(family, theta, fd_step)
+    ev = QfiEvaluator(family, theta)
 
     if dim == 2:
         grid = fibonacci_sphere(cfg.sphere_points)

@@ -2,7 +2,9 @@
 
 For a unitary family U(theta) the output QFI of a pure probe equals four
 times the variance of the generator H = i (dU/dtheta) U^dag, and the maximum
-over probes is the squared spectral gap of H.  Extending by an ancilla does
+over probes is the squared spectral gap of H.  dU/dtheta is the package's one
+finite-difference rule, :func:`qest.estimation.richardson_derivative`, at the
+fixed step ``GENERATOR_FD_STEP``.  Extending by an ancilla does
 not change that maximum; :func:`no_enhancement_check` verifies this
 numerically through the generic search pipeline.
 """
@@ -16,12 +18,16 @@ from typing import Callable
 
 import numpy as np
 
-from .channels import ChannelFamily, KrausChannel, extend_family
+from .channels import ChannelFamily, KrausChannel, extend_family, validate_trace_preserving
 from .errors import DegenerateFamilyWarning, ValidationError
-from .estimation import SearchConfig, maximize_qfi_pure
+from .estimation import SearchConfig, maximize_qfi_pure, richardson_derivative
 from .linalg import check_hermitian, dagger, hermitian_eig
 
 UNITARITY_TOL = 1e-10
+
+#: step of the generator's derivative; a step proportional to theta, as
+#: channel families use, loses accuracy at large angles
+GENERATOR_FD_STEP = 1e-5
 
 
 @dataclass(frozen=True)
@@ -42,7 +48,7 @@ class UnitaryFamily:
         u = np.asarray(self.build(theta), dtype=complex)
         if u.shape != (self.dim, self.dim):
             raise ValidationError(f"unitary shape {u.shape} does not match dim {self.dim}")
-        dev = float(np.max(np.abs(dagger(u) @ u - np.eye(self.dim))))
+        dev = validate_trace_preserving(KrausChannel(dim=self.dim, kraus=(u,)))
         if dev > UNITARITY_TOL:
             raise ValidationError(f"matrix at {theta} is not unitary: |U^dag U - I| = {dev:.3e}")
         return u
@@ -58,25 +64,14 @@ def unitary_channel_family(fam: UnitaryFamily) -> ChannelFamily:
     )
 
 
-def log_hamiltonian(fam: UnitaryFamily, theta: float, fd_step: float = 1e-5) -> np.ndarray:
-    """Generator ``H = i (dU/dtheta) U^dag`` by Richardson central differences.
+def log_hamiltonian(fam: UnitaryFamily, theta: float) -> np.ndarray:
+    """Generator ``H = i (dU/dtheta) U^dag``, dU/dtheta by Richardson central
+    differences at step ``GENERATOR_FD_STEP``.
 
-    The anti-Hermitian differencing noise (order fd_step^2) is removed by
-    symmetrization, so the result is exactly Hermitian.
+    The anti-Hermitian differencing noise is removed by symmetrization, so
+    the result is exactly Hermitian.
     """
-    h = float(fd_step)
-    if h <= 0.0:
-        raise ValidationError(f"fd_step must be positive, got {h}")
-    lo, hi = fam.validity
-    if not (lo <= theta - h and theta + h <= hi):
-        raise ValidationError(f"theta = {theta} +/- {h} leaves the validity interval")
-    up = fam.evaluate(theta + h)
-    um = fam.evaluate(theta - h)
-    up2 = fam.evaluate(theta + h / 2.0)
-    um2 = fam.evaluate(theta - h / 2.0)
-    d1 = (up - um) / (2.0 * h)
-    d2 = (up2 - um2) / h
-    du = (4.0 * d2 - d1) / 3.0
+    du = richardson_derivative(fam.evaluate, theta, GENERATOR_FD_STEP)
     gen = 1j * du @ dagger(fam.evaluate(theta))
     return 0.5 * (gen + dagger(gen))
 
@@ -115,7 +110,6 @@ def no_enhancement_check(
     theta: float,
     dim_a: int,
     search: SearchConfig | None = None,
-    fd_step: float = 1e-5,
 ) -> float:
     """Ratio of ancilla-extended to unextended maximal QFI; contract: 1.
 
@@ -124,7 +118,7 @@ def no_enhancement_check(
     """
     if dim_a < 1:
         raise ValidationError(f"ancilla dimension must be >= 1, got {dim_a}")
-    gen = log_hamiltonian(fam, theta, fd_step)
+    gen = log_hamiltonian(fam, theta)
     max_plain, _ = unitary_qfi_max(gen)
     if max_plain <= 1e-12:
         warnings.warn(

@@ -7,7 +7,6 @@ from qest.channels import (
     LowNoiseChannel,
     apply_channel,
     extend_with_ancilla,
-    first_order_from_generator,
     from_noise_operators,
     identity_channel,
     instantiate,
@@ -178,14 +177,6 @@ class TestFirstOrderData:
             validity=dep.validity,
         )
         np.testing.assert_allclose(validate_first_order(tampered), 0.02, atol=1e-15)
-
-    def test_recovered_from_generator(self):
-        ln = random_low_noise(5, num_m=3)
-        kappas, n1, ms = first_order_from_generator(ln.generator, ln.dim)
-        np.testing.assert_allclose(kappas, [1.0 + 0.0j], atol=1e-12)
-        np.testing.assert_allclose(n1[0], ln.first_order[0], atol=1e-8)
-        for got, want in zip(ms, ln.noise_ops):
-            np.testing.assert_allclose(got, want, atol=0)
 
     def test_kappa_normalization_enforced(self):
         dep = depolarizing()

@@ -2,6 +2,7 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qest.channel_io import channel_from_dict, demo_dict, matrix_to_json
 from qest.catalog import depolarizing, gad, random_low_noise
@@ -62,6 +63,19 @@ class TestValidate:
         assert main(["validate", path]) == 1
         report = json.loads(capsys.readouterr().out)
         np.testing.assert_allclose(report["first_order_residual"], 0.02, atol=1e-12)
+
+    def test_overflowing_kappa_fails(self, tmp_path, capsys):
+        dep = depolarizing()
+        payload = {
+            "dim": 2,
+            "type": "low_noise",
+            "M": [matrix_to_json(m) for m in dep.noise_ops],
+            "kappa": [[1e200, 0.0]],
+            "N1": [matrix_to_json(dep.first_order[0])],
+        }
+        path = write_json(tmp_path / "huge.json", payload)
+        assert main(["validate", path]) == 1
+        assert "validation error" in capsys.readouterr().err
 
     def test_malformed_json(self, tmp_path, capsys):
         path = tmp_path / "broken.json"
@@ -273,3 +287,48 @@ class TestDemoAndRoundTrip:
             eta_a = enhancement_factor(rebuilt.low_noise.noise_ops).eta
             eta_b = enhancement_factor(original.noise_ops).eta
             assert abs(eta_a - eta_b) < 1e-12
+
+
+exponents = st.integers(min_value=-320, max_value=308)
+signs = st.sampled_from((0.0, 1.0, -1.0))
+
+
+@st.composite
+def extreme_numbers(draw):
+    """0 or +-10^e, anywhere in the double range, subnormals included."""
+    return draw(signs) * 10.0 ** draw(exponents)
+
+
+@st.composite
+def extreme_matrices(draw):
+    """2x2 complex matrix of entries 0 or +-10^e, one decade e per matrix,
+    so that a file mixes tiny, ordinary and huge operators."""
+    scale = 10.0 ** draw(exponents)
+    return [[[draw(signs) * scale, draw(signs) * scale] for _ in range(2)] for _ in range(2)]
+
+
+@st.composite
+def extreme_low_noise_files(draw):
+    payload = {"dim": 2, "type": "low_noise",
+               "M": draw(st.lists(extreme_matrices(), min_size=1, max_size=3))}
+    if draw(st.booleans()):
+        num = draw(st.integers(min_value=1, max_value=2))
+        payload["kappa"] = [[draw(extreme_numbers()), draw(extreme_numbers())]
+                            for _ in range(num)]
+        payload["N1"] = [draw(extreme_matrices()) for _ in range(num)]
+    return payload
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("cli_fuzz")
+
+
+@given(extreme_low_noise_files())
+@settings(max_examples=150)
+def test_exit_code_contract_on_extreme_entries(fuzz_dir, payload):
+    # whatever finite numbers a channel file holds, validate and eta end with
+    # a documented exit code, never with an exception
+    path = write_json(fuzz_dir / "channel.json", payload)
+    for command in ("validate", "eta"):
+        assert 0 <= main([command, path]) <= 4

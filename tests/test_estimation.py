@@ -22,6 +22,7 @@ from qest.estimation import (
     maximize_qfi_pure,
     optimal_estimator,
     qfi,
+    richardson_derivative,
     sld,
 )
 from qest.estimation import _qfi_values
@@ -396,3 +397,27 @@ class TestFisherInformationProperties:
             _, best_pure = maximize_qfi_pure(fam, theta, 2, search=cfg)
             j_mixed = channel_qfi(fam, random_density(rng, 2), theta).qfi
             assert j_mixed <= best_pure + 1e-6
+
+
+class TestRichardsonDerivative:
+    def test_exact_on_quartic_matrix_polynomial(self, rng):
+        # the O(h^2) term of a central difference is cancelled and the O(h^4)
+        # term needs a fifth derivative, so a quartic is differentiated exactly
+        coeffs = [random_hermitian(rng, 3) for _ in range(5)]
+        x = 0.7
+        got = richardson_derivative(
+            lambda t: sum(c * t ** k for k, c in enumerate(coeffs)), x, 0.1
+        )
+        want = sum(k * c * x ** (k - 1) for k, c in enumerate(coeffs) if k)
+        assert np.max(np.abs(got - want)) < 1e-12 * np.max(np.abs(want))
+
+    def test_fourth_order_convergence_on_unitary(self, rng):
+        w, v = np.linalg.eigh(random_hermitian(rng, 3))
+
+        def u(t):
+            return (v * np.exp(-1j * t * w)) @ dagger(v)
+
+        theta = 0.4
+        exact = (v * (-1j * w * np.exp(-1j * theta * w))) @ dagger(v)
+        errs = [np.max(np.abs(richardson_derivative(u, theta, h) - exact)) for h in (0.2, 0.1)]
+        assert 14.0 < errs[0] / errs[1] < 18.0
