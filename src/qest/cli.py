@@ -2,8 +2,11 @@
 
 Subcommands: ``validate``, ``eta``, ``qfi``, ``sweep``, ``demo``.  Exit codes
 are a stable contract: 0 success, 1 validation failure, 2 parse error,
-3 domain or range error, 4 I/O error.  The environment variable ``QEST_TOL``
-overrides the default residual tolerance used by ``validate``.
+3 domain or range error, 4 I/O error.  Every other package error (a
+degenerate channel or family, singular geometry, an eigensolver that does
+not converge) also exits 3, with a one-line message on stderr and no
+traceback.  The environment variable ``QEST_TOL`` overrides the default
+residual tolerance used by ``validate``.
 """
 
 from __future__ import annotations
@@ -23,14 +26,7 @@ from .channels import (
     validate_first_order,
     validate_trace_preserving,
 )
-from .errors import (
-    DegenerateChannelError,
-    DegenerateFamilyError,
-    ParameterRangeError,
-    SchemaError,
-    SingularGeometryError,
-    ValidationError,
-)
+from .errors import ParameterRangeError, QestError, SchemaError, ValidationError
 from .estimation import channel_qfi
 from .linalg import bloch_to_density, hermitian_eig, pure_to_density, tensor_product
 from .lownoise import (
@@ -290,20 +286,16 @@ def main(argv=None) -> int:
     except SchemaError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    except (
-        ParameterRangeError,
-        DegenerateChannelError,
-        DegenerateFamilyError,
-        SingularGeometryError,
-    ) as exc:
-        print(f"domain error: {exc}", file=sys.stderr)
-        return EXIT_DOMAIN
     except ValidationError as exc:
         print(f"validation error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_IO
+    except QestError as exc:
+        # every other package error: range, degeneracy, singular geometry, convergence
+        print(f"domain error: {exc}", file=sys.stderr)
+        return EXIT_DOMAIN
 
 
 if __name__ == "__main__":

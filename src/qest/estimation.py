@@ -16,7 +16,8 @@ sum above over one batched eigensolve.  Only :func:`sld` and
 Input-state maximization is a deterministic dense search (Fibonacci grid on
 the Bloch sphere for qubits, a Schmidt-form grid for qubit + qubit) followed
 by Nelder-Mead refinement; the reported value is attained by the returned
-state, hence a certified lower bound on the true maximum.
+state, hence a certified lower bound on the true maximum.  For a qubit family
+extended by a qubit ancilla the search runs over reduced input states only.
 """
 
 from __future__ import annotations
@@ -223,22 +224,21 @@ def _estimator(sld_mat, qfi_val, theta):
     return sld_mat / qfi_val + theta * np.eye(sld_mat.shape[-1])
 
 
-def _schmidt_states(chi, phi, polar, azim):
-    """Pure states of qubit + qubit in Schmidt form, vectorized over inputs.
+def _schmidt_states(chi, polar, azim):
+    """Pure states ``cos(chi) |u0>|0> + sin(chi) |u1>|1>`` of qubit + qubit,
+    batched; ``|u0>`` is the Bloch state at (polar, azim), ``|u1>`` orthogonal.
 
-    The system-side basis is the +/- Bloch pair at (polar, azim); the ancilla
-    side uses the computational basis, which is no loss of generality because
-    the extended channel acts trivially on the ancilla.
+    For ``Phi (x) id`` the output QFI depends only on the reduced input state
+    (Bloch vector ``cos(2 chi) n(polar, azim)``): its purifications differ by
+    an ancilla unitary, which leaves the QFI unchanged (Fujiwara & Imai 2008).
+    So no Schmidt phase is needed, and ``(pi/2 - chi, pi - polar, azim + pi)``
+    is the same input as ``(chi, polar, azim)``.
     """
-    chi, phi, polar, azim = np.broadcast_arrays(chi, phi, polar, azim)
     u0 = bloch_state(polar, azim)
-    u1 = np.stack(
-        [-np.exp(-1j * azim) * np.sin(polar / 2.0), np.cos(polar / 2.0) + 0j], axis=-1
-    )
-    psi = np.zeros(chi.shape + (4,), dtype=complex)
-    psi[..., 0:4:2] = np.cos(chi)[..., None] * u0
-    psi[..., 1:4:2] = (np.sin(chi) * np.exp(1j * phi))[..., None] * u1
-    return psi
+    u1 = np.conj(u0[..., ::-1]) * [-1.0, 1.0]
+    chi = np.asarray(chi)[..., None]
+    psi = np.stack([np.cos(chi) * u0, np.sin(chi) * u1], axis=-1)  # (..., system, ancilla)
+    return psi.reshape(psi.shape[:-2] + (4,))
 
 
 def maximize_qfi_pure(
@@ -250,9 +250,14 @@ def maximize_qfi_pure(
     """Best pure input state found by dense grid search plus local refinement.
 
     Supports dim 2 (qubit channels) and dim 4 (qubit channels extended by a
-    qubit ancilla).  Ties on the grid are broken toward the smallest index,
-    and the refinement is seeded from that point, so the result is
-    deterministic.
+    qubit ancilla, ``Phi (x) id``).  Ties on the grid are broken toward the
+    smallest index, and the refinement is seeded from that point, so the
+    result is deterministic.
+
+    At dim 4 the grid and the refinement run over reduced states, the
+    (chi, polar, azim) of :func:`_schmidt_states`.  ``schmidt_points`` is
+    still points per axis; by symmetry only the first ``(n + 1) // 2``
+    values of the chi axis are evaluated.
     """
     cfg = search or SearchConfig()
     if dim not in (2, 4):
@@ -260,45 +265,45 @@ def maximize_qfi_pure(
     if family.dim != dim:
         raise ValidationError(f"family dimension {family.dim} != requested dim {dim}")
     ev = QfiEvaluator(family, theta)
+    simplex = None
 
     if dim == 2:
         grid = fibonacci_sphere(cfg.sphere_points)
         vals = ev.qfi(bloch_to_density(grid))
         best = int(np.argmax(vals))
         params = np.array(bloch_angles(grid[best]))
-
-        def state(t):
-            return bloch_state(t[0], t[1])
+        state = bloch_state
     else:
         n = cfg.schmidt_points
-        chi = np.linspace(0.0, np.pi / 2.0, n)
+        chi = np.linspace(0.0, np.pi / 2.0, n)[: (n + 1) // 2]
         polar = np.linspace(0.0, np.pi, n)
         azim = np.linspace(0.0, 2.0 * np.pi, n, endpoint=False)
-        cc, pp, aa = np.meshgrid(chi, polar, azim, indexing="ij")
-        states = _schmidt_states(cc.ravel(), 0.0, pp.ravel(), aa.ravel())
-        vals = ev.qfi(pure_to_density(states))
+        grid = np.stack([g.ravel() for g in np.meshgrid(chi, polar, azim, indexing="ij")])
+        vals = ev.qfi(pure_to_density(_schmidt_states(*grid)))
         best = int(np.argmax(vals))
-        params = np.array([cc.ravel()[best], 0.0, pp.ravel()[best], aa.ravel()[best]])
-
-        def state(t):
-            return _schmidt_states(t[0], t[1], t[2], t[3])
+        params = grid[:, best]
+        state = _schmidt_states
+        # scipy's default simplex steps a zero angle by only 2.5e-4; from grid
+        # points at chi = 0 so lopsided a start can stall short of the optimum
+        simplex = params + np.vstack([np.zeros(3), 0.1 * np.eye(3)])
 
     if cfg.refine:
         from scipy.optimize import minimize
 
         res = minimize(
-            lambda t: -float(ev.qfi(pure_to_density(state(t)))),
+            lambda t: -float(ev.qfi(pure_to_density(state(*t)))),
             params,
             method="Nelder-Mead",
             options={
                 "xatol": cfg.refine_tol,
                 "fatol": cfg.refine_tol,
                 "maxiter": cfg.refine_maxiter,
+                "initial_simplex": simplex,
             },
         )
         if -res.fun >= vals[best]:
             params = res.x
-    psi = state(params)
+    psi = state(*params)
 
     psi = psi / np.linalg.norm(psi)
     value = float(ev.qfi(pure_to_density(psi)))

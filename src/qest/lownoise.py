@@ -184,6 +184,7 @@ def _sphere_min(w, v, c):
     fill = np.where(top, 0.0, -d)
     if not fill.any():
         fill[0] = 1.0
+    fill /= np.abs(fill).max()  # the norm of a tiny fill would underflow to 0
     y += np.sqrt(max(0.0, 1.0 - float(y @ y))) * fill / np.linalg.norm(fill)
     y /= np.linalg.norm(y)
     return float(w @ (y * y) + 2.0 * d @ y), v @ y

@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -175,6 +176,30 @@ class TestEta:
         assert main(["eta", path]) == 2
         err = capsys.readouterr().err
         assert where in err and "Traceback" not in err
+
+
+    def test_tiny_j_gives_finite_eta(self, tmp_path, capsys):
+        # J ~ 8e-164; bench/oracle.eta gives (1.0, J_ZERO)
+        ms = [np.zeros((2, 2)), np.array([[0, 1j], [1j, 0]]),
+              1e-73 * np.array([[0, 1], [1j, 0]])]
+        payload = {"dim": 2, "type": "low_noise", "M": [matrix_to_json(m) for m in ms]}
+        path = write_json(tmp_path / "tiny.json", payload)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert main(["eta", path]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["regime"] == "J_ZERO"
+        assert abs(report["eta"] - 1.0) <= 1e-9
+
+    def test_solver_failure_is_a_domain_error(self, random_file, capsys, monkeypatch):
+        def fail(*args, **kwargs):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigh", fail)
+        assert main(["eta", random_file]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("domain error: ") and "did not converge" in err
+        assert err.count("\n") == 1 and "Traceback" not in err
 
 
 class TestQfi:

@@ -25,17 +25,18 @@ from qest.estimation import (
     richardson_derivative,
     sld,
 )
-from qest.estimation import _qfi_values
+from qest.estimation import _qfi_values, _schmidt_states
 from qest.linalg import (
     ID2,
     bloch_to_density,
     dagger,
     density_to_bloch,
     fibonacci_sphere,
+    hermitian_eig,
     partial_trace,
     pure_to_density,
 )
-from qest.unitary import unitary_channel_family
+from qest.unitary import UnitaryFamily, unitary_channel_family
 
 from conftest import random_density, random_hermitian, random_pure
 
@@ -344,6 +345,22 @@ class TestMaximizePure:
         reduced = partial_trace(pure_to_density(psi), 2, 2, "S")
         np.testing.assert_allclose(reduced, ID2 / 2, atol=1e-3)
 
+    def test_extended_search_reaches_closed_forms(self, rng):
+        eps = 0.05
+        fam = extend_family(family_from_low_noise(depolarizing()), 2)
+        _, best = maximize_qfi_pure(fam, eps, 4)
+        assert abs(best / (3.0 / (eps * (4.0 - 3.0 * eps))) - 1.0) < 1e-8
+        # unitary families: an ancilla adds nothing to the squared spectral gap
+        for _ in range(3):
+            w, v = hermitian_eig(random_hermitian(rng, 2))
+
+            def build(theta, w=w, v=v):
+                return (v * np.exp(-1j * theta * w)) @ dagger(v)
+
+            fam = UnitaryFamily(parameter="theta", validity=(-10.0, 10.0), build=build, dim=2)
+            _, best = maximize_qfi_pure(extend_family(unitary_channel_family(fam), 2), 0.7, 4)
+            assert abs(best / (w[1] - w[0]) ** 2 - 1.0) < 1e-8
+
     def test_rejects_unsupported_dim(self):
         fam = family_from_low_noise(depolarizing())
         with pytest.raises(ValidationError):
@@ -356,6 +373,27 @@ class TestMaximizePure:
         psi2, v2 = maximize_qfi_pure(fam, 0.1, 2, search=cfg)
         np.testing.assert_array_equal(psi1, psi2)
         assert v1 == v2
+
+
+class TestReducedStateSymmetry:
+    def test_extended_qfi_depends_only_on_reduced_state(self, rng):
+        # purifications of one reduced state differ by an ancilla unitary, which
+        # commutes with Phi (x) id: a Schmidt phase on ancilla |1> and the twin
+        # angles (pi/2 - chi, pi - polar, azim + pi) leave the QFI unchanged
+        for seed in range(20):
+            fam = family_from_low_noise(random_low_noise(seed, num_m=1 + seed % 4))
+            ev = QfiEvaluator(extend_family(fam, 2), 0.05)
+            chi = rng.uniform(0.0, np.pi / 2.0, 5)
+            polar = rng.uniform(0.0, np.pi, 5)
+            azim = rng.uniform(0.0, 2.0 * np.pi, 5)
+            psi = _schmidt_states(chi, polar, azim)
+            phase = np.exp(1j * rng.uniform(0.1, 2.0 * np.pi - 0.1, 5))
+            phased = psi * phase[:, None] ** np.array([0, 1, 0, 1])
+            twin = _schmidt_states(np.pi / 2.0 - chi, np.pi - polar, azim + np.pi)
+            base = ev.qfi(pure_to_density(psi))
+            assert np.all(base > 0.0)
+            np.testing.assert_allclose(ev.qfi(pure_to_density(phased)), base, rtol=1e-12, atol=0)
+            np.testing.assert_allclose(ev.qfi(pure_to_density(twin)), base, rtol=1e-12, atol=0)
 
 
 class TestFisherInformationProperties:

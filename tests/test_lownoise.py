@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -308,6 +310,17 @@ class TestScaleInvariance:
         scaled = enhancement_factor([1e-6 * m for m in ms])
         assert plain.regime == scaled.regime == REGIME_INSIDE_BALL
         assert abs(scaled.eta - plain.eta) <= 1e-12
+
+    def test_tiny_j_gives_finite_eta(self):
+        # J ~ 8e-164: the bottom-eigenspace fill vector of the sphere solver is
+        # so small that its norm underflows; bench/oracle.eta gives (1.0, J_ZERO)
+        ms = [np.zeros((2, 2)), np.array([[0, 1j], [1j, 0]]),
+              1e-73 * np.array([[0, 1], [1j, 0]])]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            report = enhancement_factor(ms)
+        assert report.regime == REGIME_J_ZERO
+        assert abs(report.eta - 1.0) <= 1e-9
 
     @pytest.mark.parametrize("scale", [1e-8, 1e-4, 1e4, 1e8])
     def test_eta_and_regime_ignore_operator_scale(self, scale):
