@@ -178,8 +178,9 @@ def validate_first_order(ln: LowNoiseChannel) -> float:
     ``sum_alpha M^dag M - sum_a (kappa_a N_a^dag + conj(kappa_a) N_a)``.
     """
     lhs = np.zeros((ln.dim, ln.dim), dtype=complex)
-    for m in ln.noise_ops:
-        lhs += dagger(m) @ m
+    with np.errstate(over="ignore", invalid="ignore"):  # an inf or NaN residual fails any tol
+        for m in ln.noise_ops:
+            lhs += dagger(m) @ m
     rhs = np.zeros_like(lhs)
     for kap, n1 in zip(ln.kappas, ln.first_order):
         rhs += kap * dagger(n1) + np.conj(kap) * n1
@@ -200,8 +201,9 @@ def from_noise_operators(noise_ops, name: str = "low_noise") -> LowNoiseChannel:
         raise ValidationError("need at least one noise operator")
     dim = ms[0].shape[0]
     s = np.zeros((dim, dim), dtype=complex)
-    for m in ms:
-        s += dagger(m) @ m
+    with np.errstate(over="ignore", invalid="ignore"):  # hermitian_eig refuses inf and NaN
+        for m in ms:
+            s += dagger(m) @ m
     w, v = hermitian_eig(s)
     lam_max = float(np.max(w))
     if lam_max <= 0.0:

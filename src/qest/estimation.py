@@ -15,7 +15,8 @@ sum above over one batched eigensolve.  Only :func:`sld` and
 
 Input-state maximization is a deterministic dense search (Fibonacci grid on
 the Bloch sphere for qubits, a Schmidt-form grid for qubit + qubit) followed
-by Nelder-Mead refinement; the reported value is attained by the returned
+by refinement with :func:`~qest.linalg.nelder_mead` (in-package Nelder-Mead,
+step-for-step scipy's); the reported value is attained by the returned
 state, hence a certified lower bound on the true maximum.  For a qubit family
 extended by a qubit ancilla the search runs over reduced input states only.
 """
@@ -37,6 +38,7 @@ from .linalg import (
     density_to_bloch,
     fibonacci_sphere,
     hermitian_eig,
+    nelder_mead,
     pure_to_density,
 )
 
@@ -96,9 +98,10 @@ def _sld_from_eigensystem(p, v, drho):
     return 0.5 * (sld_mat + dagger(sld_mat))
 
 
-def _qfi_values(rho, drho, kernel_tol):
+def _qfi_values(rho, drho, kernel_tol, eig=None):
     """QFI ``sum_ij 2 |d_ij|^2 / (p_i + p_j)`` over ``p_i + p_j > kernel_tol``
-    of a batch ``(..., d, d)``, without building the SLD.
+    of a batch ``(..., d, d)``, without building the SLD.  For d > 2 it
+    takes the eigensystem ``eig = (p, v)`` of rho when given, else solves it.
 
     For d = 2 it is closed form: with ``rho = (s I + r.sigma)/2``,
     ``drho = (t I + dr.sigma)/2`` and ``a = r.dr/|r|`` (0 at r = 0), the
@@ -118,7 +121,7 @@ def _qfi_values(rho, drho, kernel_tol):
                         np.einsum("...i,...i->...", dr, dr) - a * a])
         den = np.stack([s - nr, s + nr, s])
         return np.divide(num, den, out=np.zeros_like(num), where=den > kernel_tol).sum(axis=0)
-    p, v = hermitian_eig(rho, tol=1e-8)
+    p, v = eig or hermitian_eig(rho, tol=1e-8)
     d = dagger(v) @ drho @ v
     return np.einsum("...ij,...ij->...", _sld_weights(p, kernel_tol), d.real ** 2 + d.imag ** 2)
 
@@ -182,9 +185,9 @@ class QfiEvaluator:
 
     def result(self, rho_in: np.ndarray) -> EstimationResult:
         rho, drho = self.output_and_derivative(rho_in)
-        val = float(_qfi_values(rho, drho, KERNEL_TOL))
-        p, v = hermitian_eig(rho, tol=1e-8)
-        sld_mat = _sld_from_eigensystem(p, v, drho)
+        eig = hermitian_eig(rho, tol=1e-8)
+        val = float(_qfi_values(rho, drho, KERNEL_TOL, eig))
+        sld_mat = _sld_from_eigensystem(*eig, drho)
         estimator = _estimator(sld_mat, val, self.theta) if val > DEGENERATE_QFI_TOL else None
         return EstimationResult(
             theta=self.theta,
@@ -283,26 +286,17 @@ def maximize_qfi_pure(
         best = int(np.argmax(vals))
         params = grid[:, best]
         state = _schmidt_states
-        # scipy's default simplex steps a zero angle by only 2.5e-4; from grid
+        # the default simplex steps a zero angle by only 2.5e-4; from grid
         # points at chi = 0 so lopsided a start can stall short of the optimum
         simplex = params + np.vstack([np.zeros(3), 0.1 * np.eye(3)])
 
     if cfg.refine:
-        from scipy.optimize import minimize
-
-        res = minimize(
+        x, fun = nelder_mead(
             lambda t: -float(ev.qfi(pure_to_density(state(*t)))),
-            params,
-            method="Nelder-Mead",
-            options={
-                "xatol": cfg.refine_tol,
-                "fatol": cfg.refine_tol,
-                "maxiter": cfg.refine_maxiter,
-                "initial_simplex": simplex,
-            },
+            params, cfg.refine_tol, cfg.refine_tol, cfg.refine_maxiter, simplex,
         )
-        if -res.fun >= vals[best]:
-            params = res.x
+        if -fun >= vals[best]:
+            params = x
     psi = state(*params)
 
     psi = psi / np.linalg.norm(psi)

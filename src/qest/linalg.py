@@ -195,6 +195,53 @@ def pure_to_density(psi: np.ndarray) -> np.ndarray:
     return psi[..., :, None] * np.conj(psi[..., None, :])
 
 
+def nelder_mead(f, x0, xatol: float, fatol: float, maxiter: int, initial_simplex=None):
+    """Minimize ``f`` from ``x0`` by the Nelder-Mead simplex (Nelder & Mead 1965).
+
+    A step-for-step port of scipy 1.17's ``minimize(method="Nelder-Mead")``
+    without bounds or adaptive steps, so ``(x, fun)`` match it bit for bit:
+    coefficients 1, 2, 1/2, 1/2, the default simplex ``1.05 x_k`` (0.00025
+    for ``x_k = 0``), the same stop test and at most ``maxiter - 1`` steps.
+    ``f`` must not modify its argument.
+    """
+    if initial_simplex is None:
+        x0 = np.asarray(x0, dtype=float).ravel()
+        sim = np.tile(x0, (x0.size + 1, 1))
+        sim[1:][np.diag_indices(x0.size)] = np.where(x0 != 0, (1 + 0.05) * x0, 0.00025)
+    else:
+        sim = np.array(initial_simplex, dtype=float)
+    n = sim.shape[1]
+    fsim = np.array([f(x) for x in sim], dtype=float)
+    for _ in range(2):  # scipy sorts twice before the first step
+        ind = np.argsort(fsim)
+        sim, fsim = sim[ind], fsim[ind]
+    for _ in range(maxiter - 1):
+        if np.max(np.abs(sim[1:] - sim[0])) <= xatol and np.max(np.abs(fsim[0] - fsim[1:])) <= fatol:
+            break
+        xbar = np.add.reduce(sim[:-1], 0) / n
+        xr = 2 * xbar - sim[-1]
+        fxr = f(xr)
+        if fxr < fsim[0]:
+            xe = 3 * xbar - 2 * sim[-1]
+            fxe = f(xe)
+            sim[-1], fsim[-1] = (xe, fxe) if fxe < fxr else (xr, fxr)
+        elif fxr < fsim[-2]:
+            sim[-1], fsim[-1] = xr, fxr
+        else:  # contract: outside the simplex if xr beats the worst vertex, else inside
+            outside = fxr < fsim[-1]
+            xc = 1.5 * xbar - 0.5 * sim[-1] if outside else 0.5 * xbar + 0.5 * sim[-1]
+            fxc = f(xc)
+            if (fxc <= fxr) if outside else (fxc < fsim[-1]):
+                sim[-1], fsim[-1] = xc, fxc
+            else:  # shrink toward the best vertex
+                for j in range(1, n + 1):
+                    sim[j] = sim[0] + 0.5 * (sim[j] - sim[0])
+                    fsim[j] = f(sim[j])
+        ind = np.argsort(fsim)
+        sim, fsim = sim[ind], fsim[ind]
+    return sim[0], np.min(fsim)
+
+
 def fibonacci_sphere(n: int) -> np.ndarray:
     """A deterministic, nearly uniform grid of ``n`` points on the unit sphere."""
     i = np.arange(n)

@@ -36,6 +36,7 @@ from .linalg import (
     dagger,
     fibonacci_sphere,
     hermitian_eig,
+    nelder_mead,
     pauli_decompose,
     tensor_product,
 )
@@ -316,19 +317,22 @@ def enhancement_factor(noise_ops, method: str = METHOD_DIRECT) -> EnhancementRep
 def eta_bruteforce(noise_ops, grid_size: int = 10_000) -> float:
     """Enhancement factor by exhaustive search, independent of the geometry.
 
-    Maximizes :func:`leading_qfi_coefficient` directly over a Fibonacci grid
-    of pure states and over a radial-by-spherical grid of the solid ball
-    (reduced states of extended inputs; a qubit ancilla suffices), each
-    followed by Nelder-Mead refinement.
+    Maximizes the leading coefficient over a Fibonacci grid of pure states and
+    over a radial-by-spherical grid of the solid ball (reduced states of
+    extended inputs; a qubit ancilla suffices), each refined by the in-package
+    Nelder-Mead, step-for-step scipy's.  Each evaluation contracts rho with
+    ``X = (sum M^dag M, M_1, ..., M_m)`` one operator at a time, so its memory
+    does not grow with the number of operators.
     """
     if grid_size < 1000:
         raise ValidationError(f"grid_size must be at least 1000, got {grid_size}")
-    from scipy.optimize import minimize
-
     ms, _ = _as_noise_ops(noise_ops, dim=2)
+    # row k is X_k^T flattened: rho.ravel() @ xt[k] = tr(rho X_k)
+    xt = np.stack([sum(dagger(m) @ m for m in ms), *ms]).transpose(0, 2, 1).reshape(-1, 4)
 
     def coeff(xs):
-        return leading_qfi_coefficient(ms, bloch_to_density(xs))
+        rho = bloch_to_density(xs).reshape(np.shape(xs)[:-1] + (4,))
+        return (rho @ xt[0]).real - sum(np.abs(rho @ x_k) ** 2 for x_k in xt[1:])
 
     dirs = fibonacci_sphere(grid_size)
     sphere_vals = coeff(dirs)
@@ -341,11 +345,8 @@ def eta_bruteforce(noise_ops, grid_size: int = 10_000) -> float:
         )
         return -float(coeff(x))
 
-    res = minimize(
-        sphere_obj, np.array([polar, azim]), method="Nelder-Mead",
-        options={"xatol": 1e-10, "fatol": 1e-12, "maxiter": 600},
-    )
-    best_sphere = max(float(sphere_vals[i]), -res.fun)
+    _, fun = nelder_mead(sphere_obj, np.array([polar, azim]), 1e-10, 1e-12, 600)
+    best_sphere = max(float(sphere_vals[i]), -fun)
 
     radii = np.linspace(0.0, 1.0, 16)
     ball_pts = np.concatenate([r * dirs for r in radii if r > 0] + [np.zeros((1, 3))])
@@ -358,11 +359,8 @@ def eta_bruteforce(noise_ops, grid_size: int = 10_000) -> float:
         x = v if nrm <= 1.0 else v / nrm
         return -float(coeff(x))
 
-    res = minimize(
-        ball_obj, ball_pts[j], method="Nelder-Mead",
-        options={"xatol": 1e-10, "fatol": 1e-12, "maxiter": 800},
-    )
-    best_ball = max(float(ball_vals[j]), -res.fun, best_sphere)
+    _, fun = nelder_mead(ball_obj, ball_pts[j], 1e-10, 1e-12, 800)
+    best_ball = max(float(ball_vals[j]), -fun, best_sphere)
 
     if best_sphere <= 0.0:
         raise DegenerateChannelError("leading coefficient vanishes on the sphere")

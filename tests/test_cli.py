@@ -78,6 +78,16 @@ class TestValidate:
         assert main(["validate", path]) == 1
         assert "validation error" in capsys.readouterr().err
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("command", ["validate", "eta"])
+    def test_overflowing_noise_operator_fails_in_one_line(self, tmp_path, capsys, command):
+        # M^dag M overflows to inf: refused with exit 1 and no RuntimeWarning
+        payload = {"dim": 2, "type": "low_noise", "M": [[[1e200, 0.0], [0.0, 1e200]]]}
+        path = write_json(tmp_path / "huge.json", payload)
+        assert main([command, path]) == 1
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and err.startswith("validation error")
+
     def test_malformed_json(self, tmp_path, capsys):
         path = tmp_path / "broken.json"
         path.write_text('{"dim": 2, "type": ', encoding="utf-8")

@@ -25,6 +25,7 @@ from qest.estimation import (
     richardson_derivative,
     sld,
 )
+from qest import estimation
 from qest.estimation import _qfi_values, _schmidt_states
 from qest.linalg import (
     ID2,
@@ -271,12 +272,45 @@ class TestQfiValues:
             ev.qfi(rho)
 
 
-def test_import_does_not_load_scipy_optimize():
+def _run_fresh(code):
     src = Path(__file__).resolve().parent.parent / "src"
     env = {**os.environ, "PYTHONPATH": str(src)}
-    code = "import qest, sys; assert 'scipy.optimize' not in sys.modules"
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_import_does_not_load_scipy_optimize():
+    _run_fresh("import qest, sys; assert 'scipy.optimize' not in sys.modules")
+
+
+def test_searches_do_not_load_scipy():
+    _run_fresh(
+        "import sys\n"
+        "from qest.catalog import depolarizing\n"
+        "from qest.channels import extend_family, family_from_low_noise\n"
+        "from qest.estimation import SearchConfig, maximize_qfi_pure\n"
+        "from qest.lownoise import eta_bruteforce\n"
+        "eta_bruteforce(depolarizing().noise_ops, 1000)\n"
+        "fam = extend_family(family_from_low_noise(depolarizing()), 2)\n"
+        "maximize_qfi_pure(fam, 0.1, 4, search=SearchConfig(schmidt_points=8))\n"
+        "assert 'scipy' not in sys.modules\n"
+    )
+
+
+def test_result_eigensolves_a_4x4_output_once(monkeypatch):
+    fam = extend_family(family_from_low_noise(random_low_noise(5, num_m=3)), 2)
+    rho = random_density(np.random.default_rng(5), 4)
+    expected = QfiEvaluator(fam, 0.05).qfi(rho)
+    calls = []
+
+    def counting_eig(m, *args, **kwargs):
+        calls.append(np.shape(m))
+        return hermitian_eig(m, *args, **kwargs)
+
+    monkeypatch.setattr(estimation, "hermitian_eig", counting_eig)
+    res = channel_qfi(fam, rho, 0.05)
+    assert calls == [(4, 4)]
+    assert res.qfi == expected
 
 
 class TestOptimalEstimator:

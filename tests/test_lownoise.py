@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -355,6 +356,20 @@ class TestBruteForce:
     def test_rejects_small_grid(self):
         with pytest.raises(ValidationError):
             eta_bruteforce(depolarizing().noise_ops, 999)
+
+    def test_peak_memory_does_not_grow_with_operator_count(self):
+        # the ball grid is 15 x grid_size states; a temporary per noise
+        # operator on it would make six operators cost ~40% more than one
+        peaks = []
+        for num_m in (1, 6):
+            ms = random_low_noise(0, num_m=num_m).noise_ops
+            tracemalloc.start()
+            try:
+                eta_bruteforce(ms, 2000)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= 1.1 * peaks[0]
 
 
 class TestOptimalInputs:
