@@ -105,6 +105,17 @@ def _require(d: dict, key: str, kinds, path: str = "$"):
     return value
 
 
+def _operators(data: dict, key: str, dim: int) -> list[np.ndarray]:
+    """The required list ``data[key]`` of ``dim x dim`` matrices."""
+    ops = []
+    for i, raw in enumerate(_require(data, key, list)):
+        m = matrix_from_json(raw, f"$.{key}[{i}]")
+        if m.shape != (dim, dim):
+            raise SchemaError(f"operator shape {m.shape} does not match dim {dim}", f"$.{key}[{i}]")
+        ops.append(m)
+    return ops
+
+
 def channel_from_dict(data) -> ParsedChannel:
     """Build a channel from its JSON dictionary form.
 
@@ -135,15 +146,9 @@ def channel_from_dict(data) -> ParsedChannel:
         axis = [number_from_json(v, f"$.axis[{i}]") for i, v in enumerate(axis)]
         return ParsedChannel(kind=kind, dim=2, unitary=catalog.rotation_unitary(axis))
 
-    raw_ms = _require(data, "M", list)
-    if not raw_ms:
+    ms = _operators(data, "M", dim)
+    if not ms:
         raise SchemaError("need at least one noise operator", "$.M")
-    ms = []
-    for i, raw in enumerate(raw_ms):
-        m = matrix_from_json(raw, f"$.M[{i}]")
-        if m.shape != (dim, dim):
-            raise SchemaError(f"operator shape {m.shape} does not match dim {dim}", f"$.M[{i}]")
-        ms.append(m)
 
     if "kappa" not in data and "N1" not in data:
         return ParsedChannel(kind=kind, dim=dim, low_noise=from_noise_operators(ms))
@@ -152,13 +157,7 @@ def channel_from_dict(data) -> ParsedChannel:
         complex_from_json(v, f"$.kappa[{i}]")
         for i, v in enumerate(_require(data, "kappa", list))
     ]
-    raw_n1 = _require(data, "N1", list)
-    n1 = []
-    for i, raw in enumerate(raw_n1):
-        m = matrix_from_json(raw, f"$.N1[{i}]")
-        if m.shape != (dim, dim):
-            raise SchemaError(f"operator shape {m.shape} does not match dim {dim}", f"$.N1[{i}]")
-        n1.append(m)
+    n1 = _operators(data, "N1", dim)
     if len(kappas) != len(n1):
         raise SchemaError("kappa and N1 must have the same length", "$.N1")
     ln = replace(from_noise_operators(ms), kappas=tuple(kappas), first_order=tuple(n1))

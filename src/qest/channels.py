@@ -10,7 +10,10 @@ channel rather than a truncated series.
 
 :func:`from_noise_operators` is the one canonical build, ``B(eps) = sqrt(I -
 eps sum M^dag M)``; channel files, random channels and depolarizing use it.
-:func:`validate_trace_preserving` is the one trace-preservation residual.
+:func:`validate_trace_preserving` is the one trace-preservation residual, and
+:meth:`ChannelFamily.evaluate` the one place it is checked: every family point,
+low-noise, unitary or ancilla-extended, is refused outside its validity
+interval and checked against ``TP_TOL``.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import ParameterRangeError, ValidationError
-from .linalg import dagger, hermitian_eig, tensor_product
+from .linalg import dagger, hermitian_eig
 
 #: generator(eps) -> (B_list, C_list); the channel's Kraus operators are the
 #: B's plus sqrt(eps) times each C.
@@ -98,11 +101,11 @@ def extend_with_ancilla(ch: KrausChannel, dim_a: int) -> KrausChannel:
     """The extended channel acting as ``ch`` on the system and identity on an ancilla."""
     if dim_a < 1:
         raise ValidationError(f"ancilla dimension must be >= 1, got {dim_a}")
-    eye = np.eye(dim_a, dtype=complex)
-    return KrausChannel(
-        dim=ch.dim * dim_a,
-        kraus=tuple(tensor_product(k, eye) for k in ch.kraus),
-    )
+    # K (x) I for the whole stack in one broadcast product: entry
+    # (i a + p, j a + q) is K_ij delta_pq
+    stack = np.stack(ch.kraus)[:, :, None, :, None] * np.eye(dim_a, dtype=complex)[:, None, :]
+    d = ch.dim * dim_a
+    return KrausChannel(dim=d, kraus=tuple(stack.reshape(-1, d, d)))
 
 
 @dataclass(frozen=True)
@@ -147,28 +150,9 @@ class LowNoiseChannel:
 
 
 def instantiate(ln: LowNoiseChannel, eps: float) -> KrausChannel:
-    """Exact Kraus channel of the family at noise strength ``eps``.
-
-    At eps = 0 this is the identity channel.  The result is validated to be
-    trace preserving to within 1e-10.
-    """
-    lo, hi = ln.validity
-    if not (eps >= 0.0 and lo <= eps <= hi):
-        raise ParameterRangeError(
-            f"eps = {eps} outside validity interval [{lo}, {hi}] of {ln.name}"
-        )
-    bs, cs = ln.generator(float(eps))
-    kraus = [np.asarray(b, dtype=complex) for b in bs]
-    if eps > 0.0:
-        root = np.sqrt(eps)
-        kraus.extend(root * np.asarray(c, dtype=complex) for c in cs)
-    ch = KrausChannel(dim=ln.dim, kraus=tuple(kraus))
-    resid = validate_trace_preserving(ch)
-    if resid > TP_TOL:
-        raise ValidationError(
-            f"generator of {ln.name} is not trace preserving at eps={eps}: residual {resid:.3e}"
-        )
-    return ch
+    """Exact Kraus channel of the family at noise strength ``eps``, checked by
+    :meth:`ChannelFamily.evaluate`; at eps = 0 it is the identity channel."""
+    return family_from_low_noise(ln).evaluate(eps)
 
 
 def validate_first_order(ln: LowNoiseChannel) -> float:
@@ -187,6 +171,20 @@ def validate_first_order(ln: LowNoiseChannel) -> float:
     return float(np.max(np.abs(lhs - rhs)))
 
 
+def as_noise_ops(noise_ops, dim: int | None = None) -> tuple[list[np.ndarray], int]:
+    """Noise operators as complex matrices, all ``dim x dim`` (by default the
+    first one's size); anything else is a ValidationError."""
+    ms = [np.asarray(m, dtype=complex) for m in noise_ops]
+    if not ms:
+        raise ValidationError("need at least one noise operator")
+    if dim is None:
+        dim = ms[0].shape[0] if ms[0].ndim == 2 else 0
+    for m in ms:
+        if m.shape != (dim, dim):
+            raise ValidationError(f"noise operator shape {m.shape} does not match dim {dim}")
+    return ms, dim
+
+
 def from_noise_operators(noise_ops, name: str = "low_noise") -> LowNoiseChannel:
     """Build the canonical low-noise channel determined by its noise operators.
 
@@ -196,10 +194,7 @@ def from_noise_operators(noise_ops, name: str = "low_noise") -> LowNoiseChannel:
     correction of half the noise sum.  The validity interval is capped at 90%
     of the square-root domain.
     """
-    ms = tuple(np.asarray(m, dtype=complex) for m in noise_ops)
-    if not ms:
-        raise ValidationError("need at least one noise operator")
-    dim = ms[0].shape[0]
+    ms, dim = as_noise_ops(noise_ops)
     s = np.zeros((dim, dim), dtype=complex)
     with np.errstate(over="ignore", invalid="ignore"):  # hermitian_eig refuses inf and NaN
         for m in ms:
@@ -231,8 +226,9 @@ def from_noise_operators(noise_ops, name: str = "low_noise") -> LowNoiseChannel:
 class ChannelFamily:
     """A rule mapping a real parameter to a Kraus channel.
 
-    Every evaluation is checked to be trace preserving; a family that leaks
-    trace anywhere in its validity interval is a construction bug.
+    ``build`` is unchecked; :meth:`evaluate` is the checked entry point.  A
+    family that leaks trace anywhere in its validity interval is a
+    construction bug.
     """
 
     parameter: str
@@ -241,6 +237,7 @@ class ChannelFamily:
     dim: int
 
     def evaluate(self, theta: float) -> KrausChannel:
+        """``build(theta)``, checked for its range and against ``TP_TOL``."""
         lo, hi = self.validity
         if not (lo <= theta <= hi):
             raise ParameterRangeError(
@@ -248,7 +245,7 @@ class ChannelFamily:
             )
         ch = self.build(theta)
         resid = validate_trace_preserving(ch)
-        if resid > 1e-8:
+        if resid > TP_TOL:
             raise ValidationError(
                 f"family evaluation at {self.parameter} = {theta} is not trace "
                 f"preserving: residual {resid:.3e}"
@@ -257,12 +254,17 @@ class ChannelFamily:
 
 
 def family_from_low_noise(ln: LowNoiseChannel) -> ChannelFamily:
-    return ChannelFamily(
-        parameter="epsilon",
-        validity=ln.validity,
-        build=lambda eps: instantiate(ln, eps),
-        dim=ln.dim,
-    )
+    """The epsilon-family of ``ln``: Kraus operators ``B's + sqrt(eps) C's``."""
+
+    def build(eps: float) -> KrausChannel:
+        bs, cs = ln.generator(float(eps))
+        kraus = [np.asarray(b, dtype=complex) for b in bs]
+        if eps > 0.0:
+            root = np.sqrt(eps)
+            kraus.extend(root * np.asarray(c, dtype=complex) for c in cs)
+        return KrausChannel(dim=ln.dim, kraus=tuple(kraus))
+
+    return ChannelFamily(parameter="epsilon", validity=ln.validity, build=build, dim=ln.dim)
 
 
 def extend_family(fam: ChannelFamily, dim_a: int) -> ChannelFamily:

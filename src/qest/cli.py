@@ -72,7 +72,7 @@ def cmd_validate(args) -> int:
     if parsed.unitary is not None:
         family = unitary_channel_family(parsed.unitary)
         residuals = {
-            _fmt(theta): validate_trace_preserving(family.build(theta))
+            _fmt(theta): validate_trace_preserving(family.evaluate(theta))
             for theta in (0.1, 0.5, 1.0, 2.0)
         }
         ok = all(r < tol for r in residuals.values())

@@ -44,6 +44,9 @@ from .linalg import (
 
 KERNEL_TOL = 1e-10
 DEGENERATE_QFI_TOL = 1e-12
+#: Nelder-Mead tolerance (on both x and f) and iteration cap of the refinement
+REFINE_TOL = 1e-9
+REFINE_MAXITER = 800
 
 
 @dataclass(frozen=True)
@@ -65,8 +68,6 @@ class SearchConfig:
     sphere_points: int = 2000
     schmidt_points: int = 20
     refine: bool = True
-    refine_tol: float = 1e-9
-    refine_maxiter: int = 800
 
 
 def default_fd_step(theta: float) -> float:
@@ -152,8 +153,8 @@ class QfiEvaluator:
     """Pre-built channel evaluations for one (family, theta) point.
 
     Channels do not depend on the input state, so the five builds needed for
-    the derivative are done once, each through ``family.evaluate`` with its
-    parameter-range and trace-preservation checks.  A channel is linear in
+    the derivative are done once, each through ``family.evaluate``, the one
+    parameter-range and trace-preservation check.  A channel is linear in
     rho, so only two transfer matrices (see
     :class:`~qest.channels.KrausChannel`) are kept: ``S(theta)`` and its
     :func:`richardson_derivative` at step :func:`default_fd_step`.  The
@@ -293,7 +294,7 @@ def maximize_qfi_pure(
     if cfg.refine:
         x, fun = nelder_mead(
             lambda t: -float(ev.qfi(pure_to_density(state(*t)))),
-            params, cfg.refine_tol, cfg.refine_tol, cfg.refine_maxiter, simplex,
+            params, REFINE_TOL, REFINE_TOL, REFINE_MAXITER, simplex,
         )
         if -fun >= vals[best]:
             params = x

@@ -24,6 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .channels import as_noise_ops
 from .errors import (
     DegenerateChannelError,
     SingularGeometryError,
@@ -96,15 +97,13 @@ class EnhancementReport:
         }
 
 
-def _as_noise_ops(noise_ops, dim=None):
-    ms = [np.asarray(m, dtype=complex) for m in noise_ops]
-    if not ms:
-        raise ValidationError("need at least one noise operator")
-    d = ms[0].shape[0] if dim is None else dim
-    for m in ms:
-        if m.shape != (d, d):
-            raise ValidationError(f"noise operator shape {m.shape} does not match dim {d}")
-    return ms, d
+def _leading_kernel(ms):
+    """The leading coefficient as a function of row-major states ``(..., d*d)``:
+    ``tr(rho X_k) = vec(rho) . vec(X_k^T)`` for ``X = (sum M^dag M, M_1, ...)``,
+    one operator at a time, so memory does not grow with their number."""
+    d = ms[0].shape[0]
+    rows = np.stack([sum(dagger(m) @ m for m in ms), *ms]).transpose(0, 2, 1).reshape(-1, d * d)
+    return lambda vec: (vec @ rows[0]).real - sum(np.abs(vec @ x_k) ** 2 for x_k in rows[1:])
 
 
 def leading_qfi_coefficient(noise_ops, rho: np.ndarray) -> float:
@@ -112,15 +111,11 @@ def leading_qfi_coefficient(noise_ops, rho: np.ndarray) -> float:
 
     Accepts a stack of states ``(..., d, d)`` and then returns an array.
     """
-    ms, d = _as_noise_ops(noise_ops)
+    ms, d = as_noise_ops(noise_ops)
     rho = np.asarray(rho, dtype=complex)
     if rho.shape[-2:] != (d, d):
         raise ValidationError(f"state shape {rho.shape} does not match dim {d}")
-    total = np.zeros(rho.shape[:-2])
-    for m in ms:
-        quad = np.real(np.einsum("...ij,ji->...", rho, dagger(m) @ m))
-        lin = np.einsum("...ij,ji->...", rho, m)
-        total = total + quad - np.abs(lin) ** 2
+    total = _leading_kernel(ms)(rho.reshape(rho.shape[:-2] + (d * d,)))
     if total.ndim == 0:
         val = float(total)
         return 0.0 if -1e-14 < val < 0.0 else val
@@ -129,7 +124,7 @@ def leading_qfi_coefficient(noise_ops, rho: np.ndarray) -> float:
 
 def noise_geometry(noise_ops) -> NoiseGeometry:
     """Pauli reduction (mu, g, H, J) of qubit noise operators."""
-    ms, d = _as_noise_ops(noise_ops)
+    ms, d = as_noise_ops(noise_ops)
     if d != 2:
         raise ValidationError(f"noise geometry is defined for qubits only, got dim {d}")
     mu = np.zeros((3, len(ms)), dtype=complex)
@@ -278,7 +273,7 @@ def enhancement_factor(noise_ops, method: str = METHOD_DIRECT) -> EnhancementRep
     """
     if method not in (METHOD_CLOSED_FORM, METHOD_DIRECT, METHOD_BOTH):
         raise ValidationError(f"unknown method {method!r}")
-    ms, _ = _as_noise_ops(noise_ops, dim=2)
+    ms, _ = as_noise_ops(noise_ops, dim=2)
     geom = noise_geometry(ms)
     tr_h = float(np.trace(geom.h))
     if tr_h <= 1e-12 * _frobenius_total(ms):
@@ -320,19 +315,16 @@ def eta_bruteforce(noise_ops, grid_size: int = 10_000) -> float:
     Maximizes the leading coefficient over a Fibonacci grid of pure states and
     over a radial-by-spherical grid of the solid ball (reduced states of
     extended inputs; a qubit ancilla suffices), each refined by the in-package
-    Nelder-Mead, step-for-step scipy's.  Each evaluation contracts rho with
-    ``X = (sum M^dag M, M_1, ..., M_m)`` one operator at a time, so its memory
-    does not grow with the number of operators.
+    Nelder-Mead, step-for-step scipy's.  Each evaluation is the contraction
+    that :func:`leading_qfi_coefficient` uses.
     """
     if grid_size < 1000:
         raise ValidationError(f"grid_size must be at least 1000, got {grid_size}")
-    ms, _ = _as_noise_ops(noise_ops, dim=2)
-    # row k is X_k^T flattened: rho.ravel() @ xt[k] = tr(rho X_k)
-    xt = np.stack([sum(dagger(m) @ m for m in ms), *ms]).transpose(0, 2, 1).reshape(-1, 4)
+    ms, _ = as_noise_ops(noise_ops, dim=2)
+    kernel = _leading_kernel(ms)
 
     def coeff(xs):
-        rho = bloch_to_density(xs).reshape(np.shape(xs)[:-1] + (4,))
-        return (rho @ xt[0]).real - sum(np.abs(rho @ x_k) ** 2 for x_k in xt[1:])
+        return kernel(bloch_to_density(xs).reshape(np.shape(xs)[:-1] + (4,)))
 
     dirs = fibonacci_sphere(grid_size)
     sphere_vals = coeff(dirs)

@@ -7,6 +7,10 @@ finite-difference rule, :func:`qest.estimation.richardson_derivative`, at the
 fixed step ``GENERATOR_FD_STEP``.  Extending by an ancilla does
 not change that maximum; :func:`no_enhancement_check` verifies this
 numerically through the generic search pipeline.
+
+Unitarity is trace preservation of ``rho -> U rho U^dag``, so
+:meth:`UnitaryFamily.evaluate` checks it with the package's one
+trace-preservation check, :meth:`~qest.channels.ChannelFamily.evaluate`.
 """
 
 from __future__ import annotations
@@ -18,12 +22,10 @@ from typing import Callable
 
 import numpy as np
 
-from .channels import ChannelFamily, KrausChannel, extend_family, validate_trace_preserving
+from .channels import ChannelFamily, KrausChannel, extend_family
 from .errors import DegenerateFamilyWarning, ValidationError
 from .estimation import SearchConfig, maximize_qfi_pure, richardson_derivative
 from .linalg import check_hermitian, dagger, hermitian_eig
-
-UNITARITY_TOL = 1e-10
 
 #: step of the generator's derivative; a step proportional to theta, as
 #: channel families use, loses accuracy at large angles
@@ -40,18 +42,13 @@ class UnitaryFamily:
     dim: int
 
     def evaluate(self, theta: float) -> np.ndarray:
+        """``U(theta)``, checked as the one-Kraus channel it conjugates by."""
         lo, hi = self.validity
         if not (lo <= theta <= hi):
             raise ValidationError(
                 f"{self.parameter} = {theta} outside validity interval [{lo}, {hi}]"
             )
-        u = np.asarray(self.build(theta), dtype=complex)
-        if u.shape != (self.dim, self.dim):
-            raise ValidationError(f"unitary shape {u.shape} does not match dim {self.dim}")
-        dev = validate_trace_preserving(KrausChannel(dim=self.dim, kraus=(u,)))
-        if dev > UNITARITY_TOL:
-            raise ValidationError(f"matrix at {theta} is not unitary: |U^dag U - I| = {dev:.3e}")
-        return u
+        return unitary_channel_family(self).evaluate(theta).kraus[0]
 
 
 def unitary_channel_family(fam: UnitaryFamily) -> ChannelFamily:
@@ -59,7 +56,7 @@ def unitary_channel_family(fam: UnitaryFamily) -> ChannelFamily:
     return ChannelFamily(
         parameter=fam.parameter,
         validity=fam.validity,
-        build=lambda theta: KrausChannel(dim=fam.dim, kraus=(fam.evaluate(theta),)),
+        build=lambda theta: KrausChannel(dim=fam.dim, kraus=(fam.build(theta),)),
         dim=fam.dim,
     )
 

@@ -1,12 +1,16 @@
 import numpy as np
 import pytest
 
+import qest.channels
 from qest.catalog import depolarizing, gad, random_low_noise
 from qest.channels import (
+    ChannelFamily,
     KrausChannel,
     LowNoiseChannel,
     apply_channel,
+    extend_family,
     extend_with_ancilla,
+    family_from_low_noise,
     from_noise_operators,
     identity_channel,
     instantiate,
@@ -14,6 +18,7 @@ from qest.channels import (
     validate_trace_preserving,
 )
 from qest.errors import ParameterRangeError, ValidationError
+from qest.estimation import QfiEvaluator
 from qest.linalg import ID2, PAULIS, hermitian_eig, partial_trace, tensor_product
 
 from conftest import random_density, random_noise_ops
@@ -117,6 +122,16 @@ class TestAncillaExtension:
         with pytest.raises(ValidationError):
             extend_with_ancilla(identity_channel(2), 0)
 
+    @pytest.mark.parametrize("dim_a", [1, 2, 3])
+    def test_operators_equal_kronecker_products(self, dim_a):
+        eye = np.eye(dim_a)
+        for ln in (depolarizing(), gad(0.5), random_low_noise(5, num_m=6)):
+            ch = instantiate(ln, 0.5 * ln.validity[1])
+            ext = extend_with_ancilla(ch, dim_a)
+            assert len(ext.kraus) == len(ch.kraus)
+            for k_ext, k in zip(ext.kraus, ch.kraus):
+                assert (k_ext == tensor_product(k, eye)).all()
+
 
 class TestInstantiate:
     def test_zero_noise_is_identity(self, rng):
@@ -155,6 +170,49 @@ class TestInstantiate:
         # slope ||G_eps[rho] - rho|| / eps stays bounded as eps -> 0
         assert max(errs) < 10.0 * max(1.0, errs[-1] * 2.0)
         assert np.max(np.abs(apply_channel(instantiate(ln, 1e-6), rho) - rho)) < 1e-4
+
+
+class TestFamilyEvaluation:
+    @staticmethod
+    def leaky_family(resid):
+        k = np.diag([np.sqrt(1.0 + resid), 1.0])
+        return ChannelFamily("theta", (0.0, 1.0), lambda t: KrausChannel(2, (k,)), 2)
+
+    def test_refuses_residual_above_tp_tol(self):
+        with pytest.raises(ValidationError):
+            self.leaky_family(1e-9).evaluate(0.5)
+        assert validate_trace_preserving(self.leaky_family(1e-11).evaluate(0.5)) < 1e-10
+
+    @pytest.mark.parametrize("ancilla", [False, True])
+    def test_one_trace_check_per_build(self, monkeypatch, ancilla):
+        calls = []
+        original = qest.channels.validate_trace_preserving
+
+        def counting(ch):
+            calls.append(ch.dim)
+            return original(ch)
+
+        monkeypatch.setattr(qest.channels, "validate_trace_preserving", counting)
+        fam = family_from_low_noise(random_low_noise(3))
+        QfiEvaluator(extend_family(fam, 2) if ancilla else fam, 0.05)
+        assert len(calls) == 5
+
+
+class TestNoiseOperatorValidation:
+    @pytest.mark.parametrize(
+        "ops",
+        [
+            [],
+            [np.eye(2), np.eye(3)],
+            [1.0],
+            [np.eye(2), 1.0],
+            [np.array([1.0, 0.5])],
+            [np.ones((2, 3))],
+        ],
+    )
+    def test_malformed_operators_are_validation_errors(self, ops):
+        with pytest.raises(ValidationError):
+            from_noise_operators(ops)
 
 
 class TestFirstOrderData:

@@ -110,6 +110,40 @@ class TestValidate:
         report = json.loads(capsys.readouterr().out)
         assert report["ok"] is True
 
+    @pytest.mark.parametrize(
+        "command", [["validate"], ["qfi", "--epsilon", "2.0", "--input", "1,0,0"]]
+    )
+    def test_barely_non_unitary_rotation_fails(self, tmp_path, capsys, command):
+        # the axis passes the 1e-9 norm check of rotation_unitary, but U(2)
+        # misses unitarity by 2.8e-10, more than the trace-preservation tolerance
+        path = write_json(
+            tmp_path / "edge.json",
+            {"dim": 2, "type": "unitary_rotation", "axis": [0, 0, 1.0000000002]},
+        )
+        assert main([command[0], path] + command[1:]) == 1
+        err = capsys.readouterr().err
+        assert "not trace preserving" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "payload, message",
+        [
+            ({"M": []}, "$.M: need at least one noise operator"),
+            (
+                {"M": [[[1, 0], [0, 1]], [[1, 0, 0]]]},
+                "$.M[1]: operator shape (1, 3) does not match dim 2",
+            ),
+            (
+                {"M": [[[0, 1], [0, 0]]], "kappa": [1], "N1": [[[0.5]]]},
+                "$.N1[0]: operator shape (1, 1) does not match dim 2",
+            ),
+            ({"M": [[[0, 1], [0, 0]]], "kappa": [1]}, "$: missing required field 'N1'"),
+        ],
+    )
+    def test_operator_list_errors(self, tmp_path, capsys, payload, message):
+        path = write_json(tmp_path / "ops.json", {"dim": 2, "type": "low_noise", **payload})
+        assert main(["validate", path]) == 2
+        assert capsys.readouterr().err == f"parse error: {message}\n"
+
     def test_tolerance_override(self, dep_file, monkeypatch):
         monkeypatch.setenv("QEST_TOL", "1e-30")
         # even exact generators carry float roundoff, so an absurd tolerance fails

@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 from qest.catalog import rotation_unitary
+from qest.channels import KrausChannel
 from qest.errors import DegenerateFamilyWarning, ValidationError
-from qest.estimation import channel_qfi, maximize_qfi_pure
+from qest.estimation import QfiEvaluator, channel_qfi, maximize_qfi_pure
 from qest.linalg import SIGMA_Z, dagger, hermitian_eig, pure_to_density
 from qest.unitary import (
     UnitaryFamily,
@@ -142,3 +143,35 @@ class TestCrossValidation:
         )
         with pytest.raises(ValidationError):
             broken.evaluate(0.5)
+
+
+class TestUnitarityCheck:
+    def test_one_kraus_channel_per_build(self, monkeypatch):
+        builds = []
+        original = KrausChannel.__post_init__
+
+        def counting(self):
+            builds.append(self.dim)
+            original(self)
+
+        monkeypatch.setattr(KrausChannel, "__post_init__", counting)
+        QfiEvaluator(unitary_channel_family(rotation_unitary([0.6, 0.0, 0.8])), 0.7)
+        assert len(builds) == 5
+
+    def test_non_unitary_matrix_refused(self):
+        leaky = UnitaryFamily(
+            parameter="theta", validity=(-1.0, 1.0),
+            build=lambda theta: np.diag([1.0, 1.0 + 1e-9]), dim=2,
+        )
+        with pytest.raises(ValidationError):
+            leaky.evaluate(0.5)
+        with pytest.raises(ValidationError):
+            unitary_channel_family(leaky).evaluate(0.5)
+
+    def test_wrong_shape_refused(self):
+        wide = UnitaryFamily(
+            parameter="theta", validity=(-1.0, 1.0),
+            build=lambda theta: np.eye(3, dtype=complex), dim=2,
+        )
+        with pytest.raises(ValidationError):
+            wide.evaluate(0.5)
