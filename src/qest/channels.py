@@ -217,7 +217,7 @@ def from_noise_operators(noise_ops, name: str = "low_noise") -> LowNoiseChannel:
         first_order=(0.5 * s,),
         noise_ops=ms,
         generator=generate,
-        validity=(0.0, 0.9 * (1.0 / lam_max)),
+        validity=(0.0, min(0.9 * (1.0 / lam_max), np.finfo(float).max)),  # 1/lam_max overflows if subnormal
         name=name,
     )
 

@@ -18,7 +18,7 @@ the Bloch sphere for qubits, a Schmidt-form grid for qubit + qubit) followed
 by refinement with :func:`~qest.linalg.nelder_mead` (in-package Nelder-Mead,
 step-for-step scipy's); the reported value is attained by the returned
 state, hence a certified lower bound on the true maximum.  For a qubit family
-extended by a qubit ancilla the search runs over reduced input states only.
+extended by a qubit ancilla it searches reduced states, where the QFI is concave.
 """
 
 from __future__ import annotations
@@ -63,10 +63,10 @@ class EstimationResult:
 
 @dataclass(frozen=True)
 class SearchConfig:
-    """Knobs for the pure-input maximization."""
+    """Pure-input search: dim-2 grid size, dim-4 points per axis (32 states at 4)."""
 
     sphere_points: int = 2000
-    schmidt_points: int = 20
+    schmidt_points: int = 4
     refine: bool = True
 
 
@@ -261,7 +261,12 @@ def maximize_qfi_pure(
     At dim 4 the grid and the refinement run over reduced states, the
     (chi, polar, azim) of :func:`_schmidt_states`.  ``schmidt_points`` is
     still points per axis; by symmetry only the first ``(n + 1) // 2``
-    values of the chi axis are evaluated.
+    values of the chi axis are evaluated.  The QFI there is concave in the
+    reduced state sigma, a minimum of concave terms: it is
+    ``min_h 4 [tr(sigma H1(h)) - tr(sigma H2(h))^2]`` over Kraus representations
+    h (Fujiwara & Imai, J. Phys. A 41, 255304, 2008; Escher, de Matos Filho &
+    Davidovich, Nat. Phys. 7, 406, 2011).  So every local maximum over the
+    Bloch ball is global, and the grid only picks a basin for the refinement.
     """
     cfg = search or SearchConfig()
     if dim not in (2, 4):

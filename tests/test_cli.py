@@ -78,6 +78,18 @@ class TestValidate:
         assert main(["validate", path]) == 1
         assert "validation error" in capsys.readouterr().err
 
+    def test_subnormal_noise_sum_passes(self, tmp_path, capsys):
+        # entries +-1e-159 make lambda_max(sum M^dag M) subnormal: 0.9/lambda_max
+        # overflows, yet the validity interval must stay finite
+        op = [[[1e-159, 0.0], [-1e-159, 0.0]], [[1e-159, 0.0], [1e-159, 0.0]]]
+        path = write_json(tmp_path / "weak.json", {"dim": 2, "type": "low_noise", "M": [op]})
+        assert main(["validate", path]) == 0
+        out, err = capsys.readouterr()
+        report = json.loads(out)
+        assert report["ok"] is True
+        assert all(np.isfinite(float(eps)) for eps in report["trace_preserving_residuals"])
+        assert err == ""
+
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("command", ["validate", "eta"])
     def test_overflowing_noise_operator_fails_in_one_line(self, tmp_path, capsys, command):

@@ -400,6 +400,38 @@ class TestMaximizePure:
         with pytest.raises(ValidationError):
             maximize_qfi_pure(fam, 0.1, 3)
 
+    def test_default_extended_search_matches_the_dense_grid(self, rng):
+        # the extended QFI is concave in the reduced state, so the 32-state
+        # default grid and the 4,000-state grid refine to the same maximum
+        dense = SearchConfig(schmidt_points=20)
+        families = []
+        for seed in range(12):
+            ln = random_low_noise(300 + seed, num_m=1 + seed % 6)
+            families.append((family_from_low_noise(ln), (0.01, 0.2, 0.9)[seed % 3] * ln.validity[1]))
+        for _ in range(4):
+            w, v = hermitian_eig(random_hermitian(rng, 2))
+            families.append((unitary_channel_family(UnitaryFamily(
+                parameter="theta", validity=(-10.0, 10.0), dim=2,
+                build=lambda theta, w=w, v=v: (v * np.exp(-1j * theta * w)) @ dagger(v),
+            )), 0.7))
+        for fam, theta in families:
+            ext = extend_family(fam, 2)
+            _, coarse = maximize_qfi_pure(ext, theta, 4)
+            _, fine = maximize_qfi_pure(ext, theta, 4, search=dense)
+            assert abs(coarse / fine - 1.0) < 1e-8
+
+    def test_default_extended_grid_has_32_states(self, monkeypatch):
+        batches = []
+        original = QfiEvaluator.qfi
+
+        def counting_qfi(ev, rho_in):
+            batches.append(rho_in.shape[:-2])
+            return original(ev, rho_in)
+
+        monkeypatch.setattr(QfiEvaluator, "qfi", counting_qfi)
+        maximize_qfi_pure(extend_family(family_from_low_noise(depolarizing()), 2), 0.1, 4)
+        assert batches[0] == (32,)
+
     def test_grid_tie_break_is_deterministic(self):
         fam = family_from_low_noise(depolarizing())
         cfg = SearchConfig(sphere_points=64, refine=False)
@@ -448,6 +480,28 @@ class TestFisherInformationProperties:
             j_a = qfi(rho_a, sld(rho_a, drho_a))
             j_b = qfi(rho_b, sld(rho_b, drho_b))
             assert j_mix <= lam * j_a + (1 - lam) * j_b + 1e-7
+
+    def test_extended_qfi_is_concave_in_the_reduced_state(self, rng):
+        # F(sigma) = min_h 4 [tr(sigma H1) - tr(sigma H2)^2] (Fujiwara & Imai
+        # 2008; Escher et al. 2011) is a minimum of concave functions; sigma
+        # enters through a purification sum_i sqrt(p_i) |v_i>|i>
+        def purified(sigma):
+            p, v = np.linalg.eigh(sigma)
+            return pure_to_density((v * np.sqrt(np.clip(p, 0.0, None))[..., None, :]).reshape(-1, 4))
+
+        def reduced(n):
+            r = rng.standard_normal((n, 3))
+            r *= (rng.uniform(0.0, 1.0, n) ** (1.0 / 3.0) / np.linalg.norm(r, axis=1))[:, None]
+            r[: n // 4] /= np.linalg.norm(r[: n // 4], axis=1)[:, None]  # pure endpoints too
+            return bloch_to_density(r)
+
+        lns = [random_low_noise(400 + seed, num_m=1 + seed % 6) for seed in range(6)]
+        for ln in lns + [depolarizing()]:
+            for frac in (0.01, 0.3, 0.8):
+                ev = QfiEvaluator(extend_family(family_from_low_noise(ln), 2), frac * ln.validity[1])
+                a, b = reduced(40), reduced(40)
+                f_a, f_b, f_mid = (ev.qfi(purified(x)) for x in (a, b, (a + b) / 2.0))
+                assert np.all(f_mid >= (f_a + f_b) / 2.0 - 1e-9 * np.abs(f_mid))
 
     def test_monotonicity_under_partial_trace(self, rng):
         for trial in range(30):

@@ -14,7 +14,6 @@ ROOT = Path(__file__).resolve().parent.parent
     "script, args",
     [
         ("eta_survey.py", ["--count", "20"]),
-        ("leading_convergence.py", ["--random", "1", "--eps", "1e-2"]),
     ],
 )
 def test_script_exits_cleanly(script, args):
