@@ -69,63 +69,3 @@ from .unitary import (
 )
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "ChannelFamily",
-    "ConvergenceError",
-    "DegenerateChannelError",
-    "DegenerateFamilyError",
-    "DegenerateFamilyWarning",
-    "EnhancementReport",
-    "EstimationResult",
-    "KrausChannel",
-    "LowNoiseChannel",
-    "NoiseGeometry",
-    "ParameterRangeError",
-    "QestError",
-    "SchemaError",
-    "SearchConfig",
-    "SingularGeometryError",
-    "UnitaryFamily",
-    "ValidationError",
-    "apply_channel",
-    "bloch_to_density",
-    "channel_qfi",
-    "check_density",
-    "dagger",
-    "density_to_bloch",
-    "depolarizing",
-    "enhancement_factor",
-    "eta_bruteforce",
-    "extend_family",
-    "extend_with_ancilla",
-    "family_from_low_noise",
-    "fibonacci_sphere",
-    "from_noise_operators",
-    "gad",
-    "hermitian_eig",
-    "identity_channel",
-    "instantiate",
-    "leading_qfi_coefficient",
-    "log_hamiltonian",
-    "maximize_qfi_pure",
-    "min_quadratic_on_sphere",
-    "no_enhancement_check",
-    "noise_geometry",
-    "optimal_estimator",
-    "optimal_input_states",
-    "partial_trace",
-    "pauli_decompose",
-    "pure_to_density",
-    "qfi",
-    "quadratic_form",
-    "random_low_noise",
-    "rotation_unitary",
-    "sld",
-    "tensor_product",
-    "unitary_channel_family",
-    "unitary_qfi",
-    "unitary_qfi_max",
-    "validate_first_order",
-    "validate_trace_preserving",
-]

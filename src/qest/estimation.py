@@ -13,12 +13,12 @@ Bloch vectors of rho and d rho (no eigensolve), for larger outputs it is the
 sum above over one batched eigensolve.  Only :func:`sld` and
 :meth:`QfiEvaluator.result` build the SLD matrix.
 
-Input-state maximization is a deterministic dense search (Fibonacci grid on
-the Bloch sphere for qubits, a Schmidt-form grid for qubit + qubit) followed
-by refinement with :func:`~qest.linalg.nelder_mead` (in-package Nelder-Mead,
-step-for-step scipy's); the reported value is attained by the returned
-state, hence a certified lower bound on the true maximum.  For a qubit family
-extended by a qubit ancilla it searches reduced states, where the QFI is concave.
+Input-state maximization is a deterministic dense search in Bloch
+coordinates (a Fibonacci grid on the sphere of pure qubit inputs; for qubit +
+qubit, a grid of reduced states in the ball, where the QFI is concave)
+followed by refinement with :func:`~qest.linalg.pattern_search`; the reported
+value is attained by the returned state, hence a certified lower bound on the
+true maximum.
 """
 
 from __future__ import annotations
@@ -38,15 +38,15 @@ from .linalg import (
     density_to_bloch,
     fibonacci_sphere,
     hermitian_eig,
-    nelder_mead,
+    pattern_search,
     pure_to_density,
+    purification,
+    to_ball,
+    to_sphere,
 )
 
 KERNEL_TOL = 1e-10
 DEGENERATE_QFI_TOL = 1e-12
-#: Nelder-Mead tolerance (on both x and f) and iteration cap of the refinement
-REFINE_TOL = 1e-9
-REFINE_MAXITER = 800
 
 
 @dataclass(frozen=True)
@@ -63,7 +63,9 @@ class EstimationResult:
 
 @dataclass(frozen=True)
 class SearchConfig:
-    """Pure-input search: dim-2 grid size, dim-4 points per axis (32 states at 4)."""
+    """Pure-input search: dim-2 grid size, dim-4 points per axis (32 reduced
+    states at 4), and whether :func:`~qest.linalg.pattern_search` refines the
+    grid winner."""
 
     sphere_points: int = 2000
     schmidt_points: int = 4
@@ -228,23 +230,6 @@ def _estimator(sld_mat, qfi_val, theta):
     return sld_mat / qfi_val + theta * np.eye(sld_mat.shape[-1])
 
 
-def _schmidt_states(chi, polar, azim):
-    """Pure states ``cos(chi) |u0>|0> + sin(chi) |u1>|1>`` of qubit + qubit,
-    batched; ``|u0>`` is the Bloch state at (polar, azim), ``|u1>`` orthogonal.
-
-    For ``Phi (x) id`` the output QFI depends only on the reduced input state
-    (Bloch vector ``cos(2 chi) n(polar, azim)``): its purifications differ by
-    an ancilla unitary, which leaves the QFI unchanged (Fujiwara & Imai 2008).
-    So no Schmidt phase is needed, and ``(pi/2 - chi, pi - polar, azim + pi)``
-    is the same input as ``(chi, polar, azim)``.
-    """
-    u0 = bloch_state(polar, azim)
-    u1 = np.conj(u0[..., ::-1]) * [-1.0, 1.0]
-    chi = np.asarray(chi)[..., None]
-    psi = np.stack([np.cos(chi) * u0, np.sin(chi) * u1], axis=-1)  # (..., system, ancilla)
-    return psi.reshape(psi.shape[:-2] + (4,))
-
-
 def maximize_qfi_pure(
     family: ChannelFamily,
     theta: float,
@@ -258,15 +243,20 @@ def maximize_qfi_pure(
     smallest index, and the refinement is seeded from that point, so the
     result is deterministic.
 
-    At dim 4 the grid and the refinement run over reduced states, the
-    (chi, polar, azim) of :func:`_schmidt_states`.  ``schmidt_points`` is
-    still points per axis; by symmetry only the first ``(n + 1) // 2``
-    values of the chi axis are evaluated.  The QFI there is concave in the
-    reduced state sigma, a minimum of concave terms: it is
-    ``min_h 4 [tr(sigma H1(h)) - tr(sigma H2(h))^2]`` over Kraus representations
-    h (Fujiwara & Imai, J. Phys. A 41, 255304, 2008; Escher, de Matos Filho &
-    Davidovich, Nat. Phys. 7, 406, 2011).  So every local maximum over the
-    Bloch ball is global, and the grid only picks a basin for the refinement.
+    At dim 2 the search runs on the Bloch sphere of the input.  At dim 4 the
+    output QFI depends only on the reduced input state sigma, since two
+    purifications differ by an ancilla unitary, which commutes with
+    ``Phi (x) id``; so it runs over the Bloch ball of sigma and evaluates
+    each point at its :func:`~qest.linalg.purification`.  The grid is
+    ``cos(2 chi) n(polar, azim)`` over ``schmidt_points`` values per axis of
+    the Schmidt angle chi and the Bloch angles; ``(pi/2 - chi, pi - polar,
+    azim + pi)`` gives the same sigma, so only the first ``(n + 1) // 2``
+    values of chi are evaluated.  The QFI there is concave in sigma, a
+    minimum of concave terms: it is ``min_h 4 [tr(sigma H1(h)) - tr(sigma
+    H2(h))^2]`` over Kraus representations h (Fujiwara & Imai, J. Phys. A 41,
+    255304, 2008; Escher, de Matos Filho & Davidovich, Nat. Phys. 7, 406,
+    2011).  So every local maximum over the Bloch ball is global, and the
+    grid only picks a basin for the refinement.
     """
     cfg = search or SearchConfig()
     if dim not in (2, 4):
@@ -274,36 +264,37 @@ def maximize_qfi_pure(
     if family.dim != dim:
         raise ValidationError(f"family dimension {family.dim} != requested dim {dim}")
     ev = QfiEvaluator(family, theta)
-    simplex = None
 
     if dim == 2:
-        grid = fibonacci_sphere(cfg.sphere_points)
-        vals = ev.qfi(bloch_to_density(grid))
-        best = int(np.argmax(vals))
-        params = np.array(bloch_angles(grid[best]))
-        state = bloch_state
+        grid, project = fibonacci_sphere(cfg.sphere_points), to_sphere
+
+        def f(xs):
+            return ev.qfi(bloch_to_density(xs))
+
+        def state(x):
+            return bloch_state(*bloch_angles(x))
     else:
         n = cfg.schmidt_points
-        chi = np.linspace(0.0, np.pi / 2.0, n)[: (n + 1) // 2]
-        polar = np.linspace(0.0, np.pi, n)
-        azim = np.linspace(0.0, 2.0 * np.pi, n, endpoint=False)
-        grid = np.stack([g.ravel() for g in np.meshgrid(chi, polar, azim, indexing="ij")])
-        vals = ev.qfi(pure_to_density(_schmidt_states(*grid)))
-        best = int(np.argmax(vals))
-        params = grid[:, best]
-        state = _schmidt_states
-        # the default simplex steps a zero angle by only 2.5e-4; from grid
-        # points at chi = 0 so lopsided a start can stall short of the optimum
-        simplex = params + np.vstack([np.zeros(3), 0.1 * np.eye(3)])
-
-    if cfg.refine:
-        x, fun = nelder_mead(
-            lambda t: -float(ev.qfi(pure_to_density(state(*t)))),
-            params, REFINE_TOL, REFINE_TOL, REFINE_MAXITER, simplex,
+        chi, polar, azim = np.meshgrid(
+            np.linspace(0.0, np.pi / 2.0, n)[: (n + 1) // 2],
+            np.linspace(0.0, np.pi, n),
+            np.linspace(0.0, 2.0 * np.pi, n, endpoint=False),
+            indexing="ij",
         )
-        if -fun >= vals[best]:
-            params = x
-    psi = state(*params)
+        grid = (np.cos(2.0 * chi) * np.stack(
+            [np.sin(polar) * np.cos(azim), np.sin(polar) * np.sin(azim), np.cos(polar)]
+        )).reshape(3, -1).T
+        project, state = to_ball, purification
+
+        def f(ys):
+            return ev.qfi(pure_to_density(purification(ys)))
+
+    vals = f(grid)
+    best = int(np.argmax(vals))
+    x = grid[best]
+    if cfg.refine:
+        x, _ = pattern_search(f, x, float(vals[best]), project)
+    psi = state(x)
 
     psi = psi / np.linalg.norm(psi)
     value = float(ev.qfi(pure_to_density(psi)))

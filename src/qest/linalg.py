@@ -195,51 +195,12 @@ def pure_to_density(psi: np.ndarray) -> np.ndarray:
     return psi[..., :, None] * np.conj(psi[..., None, :])
 
 
-def nelder_mead(f, x0, xatol: float, fatol: float, maxiter: int, initial_simplex=None):
-    """Minimize ``f`` from ``x0`` by the Nelder-Mead simplex (Nelder & Mead 1965).
-
-    A step-for-step port of scipy 1.17's ``minimize(method="Nelder-Mead")``
-    without bounds or adaptive steps, so ``(x, fun)`` match it bit for bit:
-    coefficients 1, 2, 1/2, 1/2, the default simplex ``1.05 x_k`` (0.00025
-    for ``x_k = 0``), the same stop test and at most ``maxiter - 1`` steps.
-    ``f`` must not modify its argument.
-    """
-    if initial_simplex is None:
-        x0 = np.asarray(x0, dtype=float).ravel()
-        sim = np.tile(x0, (x0.size + 1, 1))
-        sim[1:][np.diag_indices(x0.size)] = np.where(x0 != 0, (1 + 0.05) * x0, 0.00025)
-    else:
-        sim = np.array(initial_simplex, dtype=float)
-    n = sim.shape[1]
-    fsim = np.array([f(x) for x in sim], dtype=float)
-    for _ in range(2):  # scipy sorts twice before the first step
-        ind = np.argsort(fsim)
-        sim, fsim = sim[ind], fsim[ind]
-    for _ in range(maxiter - 1):
-        if np.max(np.abs(sim[1:] - sim[0])) <= xatol and np.max(np.abs(fsim[0] - fsim[1:])) <= fatol:
-            break
-        xbar = np.add.reduce(sim[:-1], 0) / n
-        xr = 2 * xbar - sim[-1]
-        fxr = f(xr)
-        if fxr < fsim[0]:
-            xe = 3 * xbar - 2 * sim[-1]
-            fxe = f(xe)
-            sim[-1], fsim[-1] = (xe, fxe) if fxe < fxr else (xr, fxr)
-        elif fxr < fsim[-2]:
-            sim[-1], fsim[-1] = xr, fxr
-        else:  # contract: outside the simplex if xr beats the worst vertex, else inside
-            outside = fxr < fsim[-1]
-            xc = 1.5 * xbar - 0.5 * sim[-1] if outside else 0.5 * xbar + 0.5 * sim[-1]
-            fxc = f(xc)
-            if (fxc <= fxr) if outside else (fxc < fsim[-1]):
-                sim[-1], fsim[-1] = xc, fxc
-            else:  # shrink toward the best vertex
-                for j in range(1, n + 1):
-                    sim[j] = sim[0] + 0.5 * (sim[j] - sim[0])
-                    fsim[j] = f(sim[j])
-        ind = np.argsort(fsim)
-        sim, fsim = sim[ind], fsim[ind]
-    return sim[0], np.min(fsim)
+def purification(x: np.ndarray) -> np.ndarray:
+    """Qubit + qubit state(s) ``sum_a sqrt(w_a) |v_a>|a>`` whose reduced state
+    has Bloch vector ``x``, with ``(w_a, v_a)`` from :func:`hermitian_eig`;
+    batched, amplitudes row-major (system index first)."""
+    w, v = hermitian_eig(bloch_to_density(x))
+    return (v * np.sqrt(np.clip(w, 0.0, None))[..., None, :]).reshape(np.shape(x)[:-1] + (4,))
 
 
 def fibonacci_sphere(n: int) -> np.ndarray:
@@ -250,3 +211,40 @@ def fibonacci_sphere(n: int) -> np.ndarray:
     golden = np.pi * (3.0 - np.sqrt(5.0))
     phi = golden * i
     return np.stack([r * np.cos(phi), r * np.sin(phi), z], axis=-1)
+
+
+#: poll directions of :func:`pattern_search`
+PATTERN = fibonacci_sphere(12)
+
+
+def to_sphere(x: np.ndarray) -> np.ndarray:
+    """Radial projection of nonzero points onto the unit sphere, batched."""
+    return x / np.linalg.norm(x, axis=-1, keepdims=True)
+
+
+def to_ball(x: np.ndarray) -> np.ndarray:
+    """Radial projection onto the closed unit ball, batched; inner points stay."""
+    return x / np.maximum(1.0, np.linalg.norm(x, axis=-1, keepdims=True))
+
+
+def pattern_search(f, x: np.ndarray, value: float, project) -> tuple[np.ndarray, float]:
+    """Maximize ``f`` over a domain of R^3 from ``x``, where ``f(x) = value``.
+
+    A derivative-free pattern search (Torczon, SIAM J. Optim. 7, 1, 1997):
+    each round evaluates ``f`` once on the batch ``project(x + step * PATTERN)``
+    and moves to its best point if that is strictly better, else halves the
+    step, from 0.1 until it is below 1e-9.  ``project`` maps R^3 onto the
+    domain (:func:`to_sphere`, :func:`to_ball`) and ``f`` takes a stack of
+    points.  Ties never move, so the result is deterministic and never worse
+    than the start.
+    """
+    step = 0.1
+    while step >= 1e-9:
+        pts = project(x + step * PATTERN)
+        vals = f(pts)
+        k = int(np.argmax(vals))
+        if vals[k] > value:
+            x, value = pts[k], float(vals[k])
+        else:
+            step /= 2.0
+    return x, value

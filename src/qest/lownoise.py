@@ -37,9 +37,11 @@ from .linalg import (
     dagger,
     fibonacci_sphere,
     hermitian_eig,
-    nelder_mead,
+    pattern_search,
     pauli_decompose,
-    tensor_product,
+    purification,
+    to_ball,
+    to_sphere,
 )
 
 REGIME_J_ZERO = "J_ZERO"
@@ -314,9 +316,9 @@ def eta_bruteforce(noise_ops, grid_size: int = 10_000) -> float:
 
     Maximizes the leading coefficient over a Fibonacci grid of pure states and
     over a radial-by-spherical grid of the solid ball (reduced states of
-    extended inputs; a qubit ancilla suffices), each refined by the in-package
-    Nelder-Mead, step-for-step scipy's.  Each evaluation is the contraction
-    that :func:`leading_qfi_coefficient` uses.
+    extended inputs; a qubit ancilla suffices), each winner refined by
+    :func:`~qest.linalg.pattern_search` on the sphere and in the ball.  Each
+    evaluation is the contraction that :func:`leading_qfi_coefficient` uses.
     """
     if grid_size < 1000:
         raise ValidationError(f"grid_size must be at least 1000, got {grid_size}")
@@ -329,30 +331,14 @@ def eta_bruteforce(noise_ops, grid_size: int = 10_000) -> float:
     dirs = fibonacci_sphere(grid_size)
     sphere_vals = coeff(dirs)
     i = int(np.argmax(sphere_vals))
-    polar, azim = bloch_angles(dirs[i])
-
-    def sphere_obj(t):
-        x = np.array(
-            [np.sin(t[0]) * np.cos(t[1]), np.sin(t[0]) * np.sin(t[1]), np.cos(t[0])]
-        )
-        return -float(coeff(x))
-
-    _, fun = nelder_mead(sphere_obj, np.array([polar, azim]), 1e-10, 1e-12, 600)
-    best_sphere = max(float(sphere_vals[i]), -fun)
+    _, best_sphere = pattern_search(coeff, dirs[i], float(sphere_vals[i]), to_sphere)
 
     radii = np.linspace(0.0, 1.0, 16)
     ball_pts = np.concatenate([r * dirs for r in radii if r > 0] + [np.zeros((1, 3))])
     ball_vals = coeff(ball_pts)
     j = int(np.argmax(ball_vals))
-
-    def ball_obj(v):
-        v = np.asarray(v)
-        nrm = np.linalg.norm(v)
-        x = v if nrm <= 1.0 else v / nrm
-        return -float(coeff(x))
-
-    _, fun = nelder_mead(ball_obj, ball_pts[j], 1e-10, 1e-12, 800)
-    best_ball = max(float(ball_vals[j]), -fun, best_sphere)
+    _, best_ball = pattern_search(coeff, ball_pts[j], float(ball_vals[j]), to_ball)
+    best_ball = max(best_ball, best_sphere)
 
     if best_sphere <= 0.0:
         raise DegenerateChannelError("leading coefficient vanishes on the sphere")
@@ -370,14 +356,6 @@ def optimal_input_states(report: EnhancementReport) -> tuple[np.ndarray, np.ndar
     xs = np.asarray(report.x_sphere, dtype=float)
     pure = bloch_state(*bloch_angles(xs))
 
-    rho = bloch_to_density(np.asarray(report.x_ball, dtype=float))
-    w, v = hermitian_eig(rho)
-    w = np.clip(w, 0.0, None)
-    basis = np.eye(2, dtype=complex)
-    extended = np.zeros(4, dtype=complex)
-    for idx in range(2):
-        extended += np.sqrt(w[idx]) * tensor_product(
-            v[:, idx].reshape(2, 1), basis[:, idx].reshape(2, 1)
-        ).ravel()
+    extended = purification(np.asarray(report.x_ball, dtype=float))
     extended /= np.linalg.norm(extended)
     return pure, extended

@@ -26,7 +26,7 @@ from qest.estimation import (
     sld,
 )
 from qest import estimation
-from qest.estimation import _qfi_values, _schmidt_states
+from qest.estimation import _qfi_values
 from qest.linalg import (
     ID2,
     bloch_to_density,
@@ -36,6 +36,7 @@ from qest.linalg import (
     hermitian_eig,
     partial_trace,
     pure_to_density,
+    purification,
 )
 from qest.unitary import UnitaryFamily, unitary_channel_family
 
@@ -443,23 +444,19 @@ class TestMaximizePure:
 
 class TestReducedStateSymmetry:
     def test_extended_qfi_depends_only_on_reduced_state(self, rng):
-        # purifications of one reduced state differ by an ancilla unitary, which
-        # commutes with Phi (x) id: a Schmidt phase on ancilla |1> and the twin
-        # angles (pi/2 - chi, pi - polar, azim + pi) leave the QFI unchanged
+        # purifications of one reduced state differ by an ancilla unitary,
+        # which commutes with Phi (x) id and leaves the QFI unchanged
         for seed in range(20):
             fam = family_from_low_noise(random_low_noise(seed, num_m=1 + seed % 4))
             ev = QfiEvaluator(extend_family(fam, 2), 0.05)
-            chi = rng.uniform(0.0, np.pi / 2.0, 5)
-            polar = rng.uniform(0.0, np.pi, 5)
-            azim = rng.uniform(0.0, 2.0 * np.pi, 5)
-            psi = _schmidt_states(chi, polar, azim)
-            phase = np.exp(1j * rng.uniform(0.1, 2.0 * np.pi - 0.1, 5))
-            phased = psi * phase[:, None] ** np.array([0, 1, 0, 1])
-            twin = _schmidt_states(np.pi / 2.0 - chi, np.pi - polar, azim + np.pi)
-            base = ev.qfi(pure_to_density(psi))
+            y = rng.standard_normal((5, 3))
+            y *= (rng.uniform(0.0, 1.0, 5) / np.linalg.norm(y, axis=1))[:, None]
+            psi = purification(y).reshape(5, 2, 2)  # (batch, system, ancilla)
+            u, _ = np.linalg.qr(rng.standard_normal((5, 2, 2)) + 1j * rng.standard_normal((5, 2, 2)))
+            rotated = (psi @ np.swapaxes(u, -1, -2)).reshape(5, 4)
+            base = ev.qfi(pure_to_density(psi.reshape(5, 4)))
             assert np.all(base > 0.0)
-            np.testing.assert_allclose(ev.qfi(pure_to_density(phased)), base, rtol=1e-12, atol=0)
-            np.testing.assert_allclose(ev.qfi(pure_to_density(twin)), base, rtol=1e-12, atol=0)
+            np.testing.assert_allclose(ev.qfi(pure_to_density(rotated)), base, rtol=1e-12, atol=0)
 
 
 class TestFisherInformationProperties:

@@ -17,11 +17,14 @@ from qest.linalg import (
     density_to_bloch,
     fibonacci_sphere,
     hermitian_eig,
-    nelder_mead,
     partial_trace,
+    pattern_search,
     pauli_decompose,
     pure_to_density,
+    purification,
     tensor_product,
+    to_ball,
+    to_sphere,
 )
 from qest.lownoise import noise_geometry
 
@@ -300,59 +303,52 @@ def test_fibonacci_sphere_is_unit_norm():
     np.testing.assert_allclose(np.linalg.norm(pts, axis=1), 1.0, atol=1e-12)
 
 
-def _rosenbrock(x):
-    return float(np.sum(100.0 * (x[1:] - x[:-1] ** 2) ** 2 + (1.0 - x[:-1]) ** 2))
+def test_purification_has_the_given_reduced_state(rng):
+    xs = rng.standard_normal((6, 3))
+    xs *= (rng.uniform(0.0, 1.0, 6) / np.linalg.norm(xs, axis=1))[:, None]
+    xs = np.concatenate([xs, [[0.0, 0.0, 0.0], [0.0, 0.6, 0.8]]])  # centre and surface
+    psi = purification(xs)
+    assert psi.shape == (8, 4)
+    np.testing.assert_allclose(
+        partial_trace(pure_to_density(psi), 2, 2, keep="S"), bloch_to_density(xs), atol=1e-14
+    )
 
 
-def _well(x):
-    """0 within 0.05 of (0.3, 0.3), 1 elsewhere: reflections and contractions
-    from a simplex with one vertex in the well all tie the worst vertex."""
-    return 0.0 if np.hypot(x[0] - 0.3, x[1] - 0.3) < 0.05 else 1.0
-
-
-class TestNelderMead:
-    """The port against scipy's ``minimize(method="Nelder-Mead")``, which it
-    copies step for step: same evaluation points, same ``x`` and ``fun``."""
-
+class TestPatternSearch:
     @staticmethod
-    def _both(f, x0, xatol, fatol, maxiter, initial_simplex=None):
-        optimize = pytest.importorskip("scipy.optimize")
-        seen_port, seen_ref = [], []
-        x, fun = nelder_mead(lambda v: seen_port.append(np.array(v)) or f(v),
-                             x0, xatol, fatol, maxiter, initial_simplex)
-        ref = optimize.minimize(
-            lambda v: seen_ref.append(np.array(v)) or f(v), x0, method="Nelder-Mead",
-            options={"xatol": xatol, "fatol": fatol, "maxiter": maxiter,
-                     "initial_simplex": initial_simplex},
-        )
-        np.testing.assert_array_equal(np.array(seen_port), np.array(seen_ref))
-        np.testing.assert_array_equal(x, ref.x)
-        assert fun == ref.fun
-        return x, fun, len(seen_port)
+    def _quadratic(c):
+        c = np.asarray(c, dtype=float)
+        return lambda xs: -np.sum((xs - c) ** 2, axis=-1)
 
-    @pytest.mark.parametrize("x0", [[-1.2, 1.0], [1.3, 0.7, 0.8], [0.0, 0.5, -0.4]])
-    def test_rosenbrock(self, x0):
-        # the last start has a zero coordinate, which the default simplex steps by 0.00025
-        x, fun, _ = self._both(_rosenbrock, np.array(x0), 1e-10, 1e-12, 2000)
-        np.testing.assert_allclose(x, np.ones(len(x0)), atol=1e-6)
+    def test_interior_maximum_in_ball(self):
+        c = np.array([0.2, -0.3, 0.1])
+        x, value = pattern_search(self._quadratic(c), np.zeros(3), -float(c @ c), to_ball)
+        np.testing.assert_allclose(x, c, atol=1e-8)
+        assert -1e-16 <= value <= 0.0
 
-    def test_explicit_initial_simplex(self):
-        simplex = np.array([[0.0, 0.0, 0.0], [0.1, 0.0, 0.0], [0.0, 0.1, 0.0], [0.0, 0.0, 0.1]])
-        self._both(_rosenbrock, np.zeros(3), 1e-9, 1e-9, 800, simplex)
+    def test_maximum_on_ball_surface(self):
+        # the nearest ball point to an outside c is c/|c|, on the surface
+        c = np.array([0.9, 0.9, -0.3])
+        f = self._quadratic(c)
+        x, value = pattern_search(f, np.zeros(3), float(f(np.zeros(3))), to_ball)
+        np.testing.assert_allclose(x, c / np.linalg.norm(c), atol=1e-8)
+        assert np.linalg.norm(x) <= 1.0 + 1e-15
+        np.testing.assert_allclose(value, -(np.linalg.norm(c) - 1.0) ** 2, rtol=1e-12)
 
-    def test_shrink_steps(self):
-        simplex = np.array([[0.3, 0.3], [0.5, 0.3], [0.3, 0.5]])
-        # one iteration from this simplex evaluates the 3 vertices, a
-        # reflection, an inside contraction and the 2 points of a shrink
-        assert self._both(_well, simplex[0], 1e-8, 1e-8, 2, simplex)[2] == 7
-        self._both(_well, simplex[0], 1e-8, 1e-8, 200, simplex)
+    def test_sphere_maximum(self):
+        a = np.array([1.0, 2.0, -2.0]) / 3.0
+        x0 = fibonacci_sphere(20)[3]
+        x, value = pattern_search(lambda xs: xs @ a, x0, float(x0 @ a), to_sphere)
+        np.testing.assert_allclose(x, a, atol=1e-8)
+        np.testing.assert_allclose(np.linalg.norm(x), 1.0, atol=1e-15)
+        np.testing.assert_allclose(value, 1.0, atol=1e-15)
 
-    @pytest.mark.parametrize("x0", [[0.9, -0.7], [0.0, 1.1, 0.4]])
-    def test_ties_on_a_staircase(self, x0):
-        # piecewise-constant values tie often, so every ``<`` against ``<=``
-        # choice and the ``fatol = 0`` stop are exercised
-        self._both(lambda v: float(np.floor(8.0 * v @ v)), np.array(x0), 1e-6, 0.0, 400)
+    def test_ties_never_move(self):
+        x0 = np.array([0.1, 0.2, -0.3])
+        x, value = pattern_search(lambda xs: np.zeros(len(xs)), x0, 0.0, to_ball)
+        assert x is x0 and value == 0.0
 
-    def test_stops_at_maxiter(self):
-        x, fun, _ = self._both(_rosenbrock, np.array([-1.2, 1.0]), 1e-14, 1e-14, 25)
-        assert fun > 1e-3  # far from converged after 24 iterations
+    def test_start_at_maximum_is_returned(self):
+        c = np.array([-0.4, 0.0, 0.5])
+        x, value = pattern_search(self._quadratic(c), c, 0.0, to_ball)
+        assert x is c and value == 0.0

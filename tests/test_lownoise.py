@@ -353,6 +353,20 @@ class TestBruteForce:
             eta = enhancement_factor(ms, method=METHOD_DIRECT).eta
             np.testing.assert_allclose(eta_bruteforce(ms, 1000), eta, atol=1e-4)
 
+    def test_matches_closed_form_to_rounding(self):
+        # the first 300 channels of acceptance criterion 5, same selection
+        count, seed, worst = 0, 0, 0.0
+        while count < 300:
+            ms = random_low_noise(seed, num_m=2 + seed % 5).noise_ops
+            seed += 1
+            w, _ = hermitian_eig(noise_geometry(ms).h.astype(complex))
+            if w[0] <= 0 or w[2] / w[0] >= 1e6:
+                continue
+            eta = enhancement_factor(ms, method=METHOD_BOTH).eta
+            worst = max(worst, abs(eta_bruteforce(ms, 1000) - eta))
+            count += 1
+        assert worst <= 1e-12
+
     def test_rejects_small_grid(self):
         with pytest.raises(ValidationError):
             eta_bruteforce(depolarizing().noise_ops, 999)
