@@ -24,6 +24,10 @@ def main():
     parser.add_argument("--max-ops", type=int, default=6, help="largest noise-operator count")
     parser.add_argument("--out", default=None, help="CSV output path (optional)")
     args = parser.parse_args()
+    if args.count < 1:
+        parser.error(f"--count must be at least 1, got {args.count}")
+    if not 1 <= args.max_ops <= 6:
+        parser.error(f"--max-ops must be between 1 and 6, got {args.max_ops}")
 
     etas = np.empty(args.count)
     regimes = collections.Counter()

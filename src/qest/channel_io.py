@@ -3,7 +3,7 @@
 Schema::
 
     {
-      "dim": 2,
+      "dim": 2,                    # 2 for every type but low_noise
       "type": "low_noise" | "depolarizing" | "gad" | "unitary_rotation",
       "M":     [matrix, ...],      # low_noise: noise operators
       "kappa": [complex, ...],     # low_noise, optional: declared kappas
@@ -131,6 +131,8 @@ def channel_from_dict(data) -> ParsedChannel:
     dim = _require(data, "dim", int)
     if dim < 2:
         raise SchemaError(f"dim must be >= 2, got {dim}", "$.dim")
+    if kind != "low_noise" and dim != 2:
+        raise SchemaError(f"a {kind} channel acts on a qubit: dim must be 2, got {dim}", "$.dim")
 
     if kind == "depolarizing":
         return ParsedChannel(kind=kind, dim=2, low_noise=catalog.depolarizing())

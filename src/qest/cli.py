@@ -5,8 +5,8 @@ are a stable contract: 0 success, 1 validation failure, 2 parse error,
 3 domain or range error, 4 I/O error.  Every other package error (a
 degenerate channel or family, singular geometry, an eigensolver that does
 not converge) also exits 3, with a one-line message on stderr and no
-traceback.  The environment variable ``QEST_TOL`` overrides the default
-residual tolerance used by ``validate``.
+traceback.  The environment variable ``QEST_TOL``, a finite positive number,
+overrides the default residual tolerance used by ``validate``.
 """
 
 from __future__ import annotations
@@ -53,9 +53,12 @@ def _tolerance(default: float = 1e-9) -> float:
     if raw is None:
         return default
     try:
-        return float(raw)
+        tol = float(raw)
     except ValueError as exc:
         raise ValidationError(f"QEST_TOL={raw!r} is not a number") from exc
+    if not 0.0 < tol < float("inf"):
+        raise ValidationError(f"QEST_TOL={raw!r} is not a finite positive number")
+    return tol
 
 
 def _print_json(obj) -> None:

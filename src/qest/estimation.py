@@ -13,12 +13,12 @@ Bloch vectors of rho and d rho (no eigensolve), for larger outputs it is the
 sum above over one batched eigensolve.  Only :func:`sld` and
 :meth:`QfiEvaluator.result` build the SLD matrix.
 
-Input-state maximization is a deterministic dense search in Bloch
-coordinates (a Fibonacci grid on the sphere of pure qubit inputs; for qubit +
-qubit, a grid of reduced states in the ball, where the QFI is concave)
-followed by refinement with :func:`~qest.linalg.pattern_search`; the reported
-value is attained by the returned state, hence a certified lower bound on the
-true maximum.
+Input-state maximization is a deterministic search in Bloch coordinates:
+:func:`~qest.linalg.pattern_search` from the best point of a Fibonacci grid on
+the sphere of pure qubit inputs or, for qubit + qubit, of Fibonacci shells of
+reduced states in the ball, where the QFI is concave; each reduced state is
+probed at its canonical purification.  The reported value is attained by the
+returned state, hence a certified lower bound on the true maximum.
 """
 
 from __future__ import annotations
@@ -63,9 +63,9 @@ class EstimationResult:
 
 @dataclass(frozen=True)
 class SearchConfig:
-    """Pure-input search: dim-2 grid size, dim-4 points per axis (32 reduced
-    states at 4), and whether :func:`~qest.linalg.pattern_search` refines the
-    grid winner."""
+    """Pure-input search: dim-2 grid size, dim-4 grid resolution n (``(n + 1)
+    // 2`` shells of ``n * n`` reduced states, 32 at 4), and whether
+    :func:`~qest.linalg.pattern_search` refines the grid winner."""
 
     sphere_points: int = 2000
     schmidt_points: int = 4
@@ -212,13 +212,14 @@ def channel_qfi(family: ChannelFamily, rho_in: np.ndarray, theta: float) -> Esti
     return QfiEvaluator(family, theta).result(rho_in)
 
 
-def optimal_estimator(res: EstimationResult, tol: float = DEGENERATE_QFI_TOL) -> np.ndarray:
+def optimal_estimator(res: EstimationResult) -> np.ndarray:
     """A locally unbiased observable saturating the Cramer-Rao bound.
 
-    Returns ``A = L/J + theta I``.  Off the support of rho the completion is
-    a free choice; this one keeps A Hermitian and globally defined.
+    Returns ``A = L/J + theta I``; a QFI at most ``DEGENERATE_QFI_TOL`` has
+    none.  Off the support of rho the completion is a free choice; this one
+    keeps A Hermitian and globally defined.
     """
-    if res.qfi <= tol:
+    if res.qfi <= DEGENERATE_QFI_TOL:
         raise DegenerateFamilyError(
             f"QFI = {res.qfi:.3e} carries no information; no estimator exists"
         )
@@ -247,12 +248,11 @@ def maximize_qfi_pure(
     output QFI depends only on the reduced input state sigma, since two
     purifications differ by an ancilla unitary, which commutes with
     ``Phi (x) id``; so it runs over the Bloch ball of sigma and evaluates
-    each point at its :func:`~qest.linalg.purification`.  The grid is
-    ``cos(2 chi) n(polar, azim)`` over ``schmidt_points`` values per axis of
-    the Schmidt angle chi and the Bloch angles; ``(pi/2 - chi, pi - polar,
-    azim + pi)`` gives the same sigma, so only the first ``(n + 1) // 2``
-    values of chi are evaluated.  The QFI there is concave in sigma, a
-    minimum of concave terms: it is ``min_h 4 [tr(sigma H1(h)) - tr(sigma
+    each point at its canonical purification ``vec(sqrt(sigma))``
+    (:func:`~qest.linalg.purification`).  The grid is ``(n + 1) // 2``
+    shells of radius ``cos(pi k / (n - 1))`` times ``n * n`` Fibonacci
+    directions, ``n = schmidt_points``.  The QFI there is concave in sigma,
+    a minimum of concave terms: it is ``min_h 4 [tr(sigma H1(h)) - tr(sigma
     H2(h))^2]`` over Kraus representations h (Fujiwara & Imai, J. Phys. A 41,
     255304, 2008; Escher, de Matos Filho & Davidovich, Nat. Phys. 7, 406,
     2011).  So every local maximum over the Bloch ball is global, and the
@@ -275,25 +275,14 @@ def maximize_qfi_pure(
             return bloch_state(*bloch_angles(x))
     else:
         n = cfg.schmidt_points
-        chi, polar, azim = np.meshgrid(
-            np.linspace(0.0, np.pi / 2.0, n)[: (n + 1) // 2],
-            np.linspace(0.0, np.pi, n),
-            np.linspace(0.0, 2.0 * np.pi, n, endpoint=False),
-            indexing="ij",
-        )
-        grid = (np.cos(2.0 * chi) * np.stack(
-            [np.sin(polar) * np.cos(azim), np.sin(polar) * np.sin(azim), np.cos(polar)]
-        )).reshape(3, -1).T
+        radii = np.cos(np.linspace(0.0, np.pi, n)[: (n + 1) // 2])
+        grid = (radii[:, None, None] * fibonacci_sphere(n * n)).reshape(-1, 3)
         project, state = to_ball, purification
 
         def f(ys):
             return ev.qfi(pure_to_density(purification(ys)))
 
-    vals = f(grid)
-    best = int(np.argmax(vals))
-    x = grid[best]
-    if cfg.refine:
-        x, _ = pattern_search(f, x, float(vals[best]), project)
+    x = pattern_search(f, grid, project)[0] if cfg.refine else grid[int(np.argmax(f(grid)))]
     psi = state(x)
 
     psi = psi / np.linalg.norm(psi)

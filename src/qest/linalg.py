@@ -131,13 +131,13 @@ def pauli_decompose(m: np.ndarray) -> tuple[complex, complex, complex, complex]:
     return complex(m0), complex(m1), complex(m2), complex(m3)
 
 
-def bloch_to_density(x: np.ndarray, tol: float = 1e-9) -> np.ndarray:
-    """Density matrix ``(I + x . sigma)/2`` for a Bloch vector (or stack of them)."""
+def bloch_to_density(x: np.ndarray) -> np.ndarray:
+    """Density matrix ``(I + x . sigma)/2`` for Bloch vectors of norm <= 1 + 1e-9, batched."""
     x = np.asarray(x, dtype=float)
     if x.shape[-1] != 3:
         raise ValidationError(f"Bloch vector needs 3 components, got shape {x.shape}")
     norm = np.linalg.norm(x, axis=-1)
-    if np.any(norm > 1.0 + tol):
+    if np.any(norm > 1.0 + 1e-9):
         raise ValidationError(f"Bloch vector norm {float(np.max(norm)):.12f} exceeds 1")
     eye = np.broadcast_to(ID2, x.shape[:-1] + (2, 2))
     return 0.5 * (
@@ -177,16 +177,16 @@ def bloch_state(polar, azim) -> np.ndarray:
     return np.stack([np.cos(polar / 2.0) + 0j, np.exp(1j * azim) * np.sin(polar / 2.0)], axis=-1)
 
 
-def check_density(rho: np.ndarray, tol: float = HERMITIAN_TOL, psd_tol: float = PSD_TOL) -> None:
-    """Validate a density operator: Hermitian, unit trace, eigenvalues >= -psd_tol."""
+def check_density(rho: np.ndarray) -> None:
+    """Validate a density operator: Hermitian, unit trace, eigenvalues >= -PSD_TOL."""
     rho = np.asarray(rho, dtype=complex)
-    check_hermitian(rho, tol=tol, what="density operator")
+    check_hermitian(rho, what="density operator")
     tr = complex(np.trace(rho))
-    if abs(tr - 1.0) > max(tol, 1e-9):
+    if abs(tr - 1.0) > HERMITIAN_TOL:
         raise ValidationError(f"density operator trace {tr} is not 1")
-    w, _ = hermitian_eig(rho, tol=max(tol, 1e-8))
-    if float(np.min(w)) < -psd_tol:
-        raise ValidationError(f"density operator has eigenvalue {float(np.min(w)):.3e} < -{psd_tol:.1e}")
+    w, _ = hermitian_eig(rho, tol=1e-8)
+    if float(np.min(w)) < -PSD_TOL:
+        raise ValidationError(f"density operator has eigenvalue {float(np.min(w)):.3e} < -{PSD_TOL:.1e}")
 
 
 def pure_to_density(psi: np.ndarray) -> np.ndarray:
@@ -196,11 +196,12 @@ def pure_to_density(psi: np.ndarray) -> np.ndarray:
 
 
 def purification(x: np.ndarray) -> np.ndarray:
-    """Qubit + qubit state(s) ``sum_a sqrt(w_a) |v_a>|a>`` whose reduced state
-    has Bloch vector ``x``, with ``(w_a, v_a)`` from :func:`hermitian_eig`;
-    batched, amplitudes row-major (system index first)."""
-    w, v = hermitian_eig(bloch_to_density(x))
-    return (v * np.sqrt(np.clip(w, 0.0, None))[..., None, :]).reshape(np.shape(x)[:-1] + (4,))
+    """Canonical purification ``vec(sqrt(sigma))`` of the qubit state with Bloch
+    vector ``x``, batched, system index first; closed form, as ``sqrt(sigma) =
+    (sigma + c I)/sqrt(1 + 2c)`` with ``c = sqrt(det sigma) = sqrt(1 - |x|^2)/2``."""
+    sigma = bloch_to_density(x)
+    c = 0.5 * np.sqrt(np.clip(1.0 - np.sum(np.square(x), axis=-1), 0.0, None))[..., None, None]
+    return ((sigma + c * ID2) / np.sqrt(1.0 + 2.0 * c)).reshape(np.shape(x)[:-1] + (4,))
 
 
 def fibonacci_sphere(n: int) -> np.ndarray:
@@ -227,8 +228,9 @@ def to_ball(x: np.ndarray) -> np.ndarray:
     return x / np.maximum(1.0, np.linalg.norm(x, axis=-1, keepdims=True))
 
 
-def pattern_search(f, x: np.ndarray, value: float, project) -> tuple[np.ndarray, float]:
-    """Maximize ``f`` over a domain of R^3 from ``x``, where ``f(x) = value``.
+def pattern_search(f, grid: np.ndarray, project) -> tuple[np.ndarray, float]:
+    """Maximize ``f`` over a domain of R^3, starting from the best point of
+    ``grid`` (the first one on ties).
 
     A derivative-free pattern search (Torczon, SIAM J. Optim. 7, 1, 1997):
     each round evaluates ``f`` once on the batch ``project(x + step * PATTERN)``
@@ -236,8 +238,11 @@ def pattern_search(f, x: np.ndarray, value: float, project) -> tuple[np.ndarray,
     step, from 0.1 until it is below 1e-9.  ``project`` maps R^3 onto the
     domain (:func:`to_sphere`, :func:`to_ball`) and ``f`` takes a stack of
     points.  Ties never move, so the result is deterministic and never worse
-    than the start.
+    than the grid.
     """
+    vals = f(grid)
+    k = int(np.argmax(vals))
+    x, value = grid[k], float(vals[k])
     step = 0.1
     while step >= 1e-9:
         pts = project(x + step * PATTERN)

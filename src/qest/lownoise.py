@@ -223,8 +223,10 @@ def _frobenius_total(ms):
 
 
 def _ball_max(h, jvec, eig, leading_pure, x_sphere):
-    """Ball maximum of the leading coefficient and its argument, no inverse needed."""
-    # concave objective on the ball: interior optimum needs H x = -J solvable
+    """Ball maximum of the leading coefficient and its argument.  The objective
+    is concave: its stationary point ``-H^+ J`` (H^+ the pseudo-inverse over
+    eigenvalues above SINGULAR_REL_TOL) counts if ``H x = -J`` holds there and
+    it lies in the ball; otherwise the maximum is the sphere's."""
     w, v = eig
     inv_w = np.where(w > SINGULAR_REL_TOL * w[-1], 1.0 / np.where(w > 0, w, 1.0), 0.0)
     x0 = -(v @ (inv_w * (v.T @ jvec)))
@@ -263,9 +265,9 @@ def enhancement_factor(noise_ops, method: str = METHOD_DIRECT) -> EnhancementRep
     """Ancilla-assisted enhancement factor of a qubit noise channel.
 
     ``method`` selects the computation path: DIRECT maximizes the quadratic
-    form over sphere and ball without inverting H (always applicable),
-    CLOSED_FORM uses the H^-1 expression and the regime split, BOTH runs
-    both and records their discrepancy.  The ratio always lies in [1, 3/2].
+    form over sphere and ball, on the ball through a checked pseudo-inverse
+    of H (always applicable); CLOSED_FORM uses the H^-1 expression and the
+    regime split, BOTH runs both and records their discrepancy.  The ratio always lies in [1, 3/2].
 
     H and J are divided by tr H first, so every threshold is relative and eta
     does not depend on the scale of the noise operators; the leading
@@ -329,15 +331,11 @@ def eta_bruteforce(noise_ops, grid_size: int = 10_000) -> float:
         return kernel(bloch_to_density(xs).reshape(np.shape(xs)[:-1] + (4,)))
 
     dirs = fibonacci_sphere(grid_size)
-    sphere_vals = coeff(dirs)
-    i = int(np.argmax(sphere_vals))
-    _, best_sphere = pattern_search(coeff, dirs[i], float(sphere_vals[i]), to_sphere)
+    _, best_sphere = pattern_search(coeff, dirs, to_sphere)
 
     radii = np.linspace(0.0, 1.0, 16)
     ball_pts = np.concatenate([r * dirs for r in radii if r > 0] + [np.zeros((1, 3))])
-    ball_vals = coeff(ball_pts)
-    j = int(np.argmax(ball_vals))
-    _, best_ball = pattern_search(coeff, ball_pts[j], float(ball_vals[j]), to_ball)
+    _, best_ball = pattern_search(coeff, ball_pts, to_ball)
     best_ball = max(best_ball, best_sphere)
 
     if best_sphere <= 0.0:
@@ -348,10 +346,10 @@ def eta_bruteforce(noise_ops, grid_size: int = 10_000) -> float:
 def optimal_input_states(report: EnhancementReport) -> tuple[np.ndarray, np.ndarray]:
     """Optimal probes attaining the report's leading coefficients.
 
-    Returns the pure qubit state with Bloch vector ``x_sphere`` and a
-    purification (with a qubit ancilla) of the ball optimum, built through
-    the eigendecomposition of the reduced state so the Schmidt form is
-    explicit.
+    Returns the pure qubit state with Bloch vector ``x_sphere`` and the
+    canonical purification ``vec(sqrt(sigma))`` (with a qubit ancilla) of the
+    ball optimum sigma, whose Schmidt coefficients are the square roots of
+    the eigenvalues of sigma.
     """
     xs = np.asarray(report.x_sphere, dtype=float)
     pure = bloch_state(*bloch_angles(xs))

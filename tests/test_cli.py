@@ -111,6 +111,22 @@ class TestValidate:
         assert main(["validate", path]) == 2
         assert "missing required field 'M'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            {"dim": 3, "type": "depolarizing"},
+            {"dim": 4, "type": "gad", "betaE": 1.0},
+            {"dim": 7, "type": "unitary_rotation", "axis": [0.0, 0.0, 1.0]},
+        ],
+        ids=["depolarizing", "gad", "unitary_rotation"],
+    )
+    def test_catalog_type_must_declare_dim_2(self, tmp_path, capsys, payload):
+        path = write_json(tmp_path / "wrong_dim.json", payload)
+        for command in ("validate", "eta"):
+            assert main([command, path]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("parse error") and "$.dim" in err
+
     def test_missing_file(self, tmp_path):
         assert main(["validate", str(tmp_path / "nope.json")]) == 4
 
@@ -160,8 +176,9 @@ class TestValidate:
         monkeypatch.setenv("QEST_TOL", "1e-30")
         # even exact generators carry float roundoff, so an absurd tolerance fails
         assert main(["validate", dep_file]) in (0, 1)
-        monkeypatch.setenv("QEST_TOL", "not-a-number")
-        assert main(["validate", dep_file]) == 1
+        for raw in ("not-a-number", "nan", "inf", "0", "-1"):
+            monkeypatch.setenv("QEST_TOL", raw)
+            assert main(["validate", dep_file]) == 1
 
 
 class TestEta:

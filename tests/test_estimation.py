@@ -25,7 +25,7 @@ from qest.estimation import (
     richardson_derivative,
     sld,
 )
-from qest import estimation
+from qest import estimation, linalg
 from qest.estimation import _qfi_values
 from qest.linalg import (
     ID2,
@@ -432,6 +432,30 @@ class TestMaximizePure:
         monkeypatch.setattr(QfiEvaluator, "qfi", counting_qfi)
         maximize_qfi_pure(extend_family(family_from_low_noise(depolarizing()), 2), 0.1, 4)
         assert batches[0] == (32,)
+
+    def test_extended_search_solves_no_2x2_eigenproblem(self, monkeypatch):
+        # the purification of a reduced state is closed form; only the
+        # 4x4 output states of the QFI need an eigensolve
+        shapes = []
+        original = linalg.hermitian_eig
+
+        def counting_eig(m, *args, **kwargs):
+            shapes.append(np.shape(m)[-2:])
+            return original(m, *args, **kwargs)
+
+        monkeypatch.setattr(linalg, "hermitian_eig", counting_eig)
+        monkeypatch.setattr(estimation, "hermitian_eig", counting_eig)
+        maximize_qfi_pure(extend_family(family_from_low_noise(depolarizing()), 2), 0.1, 4)
+        assert shapes and (2, 2) not in shapes
+
+    def test_unrefined_search_returns_the_grid_winner(self):
+        ln = random_low_noise(7, num_m=3)
+        fam, theta = family_from_low_noise(ln), 0.2 * ln.validity[1]
+        ev = QfiEvaluator(fam, theta)
+        grid = fibonacci_sphere(64)
+        best = grid[int(np.argmax(ev.qfi(bloch_to_density(grid))))]
+        psi, _ = maximize_qfi_pure(fam, theta, 2, search=SearchConfig(sphere_points=64, refine=False))
+        np.testing.assert_allclose(density_to_bloch(pure_to_density(psi)), best, atol=1e-12)
 
     def test_grid_tie_break_is_deterministic(self):
         fam = family_from_low_noise(depolarizing())

@@ -322,7 +322,7 @@ class TestPatternSearch:
 
     def test_interior_maximum_in_ball(self):
         c = np.array([0.2, -0.3, 0.1])
-        x, value = pattern_search(self._quadratic(c), np.zeros(3), -float(c @ c), to_ball)
+        x, value = pattern_search(self._quadratic(c), np.zeros((1, 3)), to_ball)
         np.testing.assert_allclose(x, c, atol=1e-8)
         assert -1e-16 <= value <= 0.0
 
@@ -330,7 +330,7 @@ class TestPatternSearch:
         # the nearest ball point to an outside c is c/|c|, on the surface
         c = np.array([0.9, 0.9, -0.3])
         f = self._quadratic(c)
-        x, value = pattern_search(f, np.zeros(3), float(f(np.zeros(3))), to_ball)
+        x, value = pattern_search(f, np.zeros((1, 3)), to_ball)
         np.testing.assert_allclose(x, c / np.linalg.norm(c), atol=1e-8)
         assert np.linalg.norm(x) <= 1.0 + 1e-15
         np.testing.assert_allclose(value, -(np.linalg.norm(c) - 1.0) ** 2, rtol=1e-12)
@@ -338,17 +338,22 @@ class TestPatternSearch:
     def test_sphere_maximum(self):
         a = np.array([1.0, 2.0, -2.0]) / 3.0
         x0 = fibonacci_sphere(20)[3]
-        x, value = pattern_search(lambda xs: xs @ a, x0, float(x0 @ a), to_sphere)
+        x, value = pattern_search(lambda xs: xs @ a, x0[None], to_sphere)
         np.testing.assert_allclose(x, a, atol=1e-8)
         np.testing.assert_allclose(np.linalg.norm(x), 1.0, atol=1e-15)
         np.testing.assert_allclose(value, 1.0, atol=1e-15)
 
     def test_ties_never_move(self):
         x0 = np.array([0.1, 0.2, -0.3])
-        x, value = pattern_search(lambda xs: np.zeros(len(xs)), x0, 0.0, to_ball)
-        assert x is x0 and value == 0.0
+        x, value = pattern_search(lambda xs: np.zeros(len(xs)), x0[None], to_ball)
+        assert np.array_equal(x, x0) and value == 0.0
+
+    def test_starts_from_the_first_best_grid_point(self):
+        grid = np.array([[0.0, 0.0, 0.5], [0.3, 0.0, 0.0], [-0.3, 0.0, 0.0], [0.0, 0.2, 0.0]])
+        x, value = pattern_search(lambda xs: -np.abs(xs[:, 0] ** 2 - 0.09), grid, to_ball)
+        assert np.array_equal(x, grid[1]) and value == 0.0
 
     def test_start_at_maximum_is_returned(self):
         c = np.array([-0.4, 0.0, 0.5])
-        x, value = pattern_search(self._quadratic(c), c, 0.0, to_ball)
-        assert x is c and value == 0.0
+        x, value = pattern_search(self._quadratic(c), c[None], to_ball)
+        assert np.array_equal(x, c) and value == 0.0

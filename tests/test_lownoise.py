@@ -304,6 +304,43 @@ class TestEnhancementFactor:
         assert len(calls) == 1
 
 
+class TestAttainability:
+    """The closed forms of eta near the 3/2 bound, which is attained only for
+    g proportional to the identity; the OUTSIDE_BALL case, eta = 1, is
+    ``TestEnhancementFactor.test_outside_ball_regime``."""
+
+    def test_zero_axial_vector(self, rng):
+        # real Pauli rows give a real g, so J = 0 and eta = 1/(1 - lam_min/tr H);
+        # one operator gives a singular H and eta = 1
+        for num_m in (1, 2, 3, 5):
+            mu = rng.standard_normal((3, num_m))
+            w = np.linalg.eigvalsh(mu @ mu.T)
+            report = enhancement_factor(ops_from_pauli_rows(mu), method=METHOD_BOTH)
+            assert report.regime == REGIME_J_ZERO
+            np.testing.assert_allclose(report.eta, 1.0 / (1.0 - w[0] / w.sum()), rtol=1e-12)
+
+    @pytest.mark.parametrize("u", [1e-2, 1e-3, 1e-4])
+    def test_isotropic_metric_with_axial_vector(self, rng, u):
+        # g = (tr H/3) I + i eps_abc J_c, so Im(g_23, g_31, g_12) = J; with
+        # u = |J|/tr H the ball maximum is tr H (1 + 3u^2) at x = -3J/tr H and
+        # the sphere maximum tr H (2/3 + 2u)
+        tr_h = 2.0
+        jvec = rng.standard_normal(3)
+        jvec *= u * tr_h / np.linalg.norm(jvec)
+        levi = np.zeros((3, 3, 3))
+        for a, b, c in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
+            levi[a, b, c], levi[b, a, c] = 1.0, -1.0
+        g = tr_h / 3.0 * np.eye(3) + 1j * np.einsum("abc,c->ab", levi, jvec)
+        ms = ops_from_pauli_rows(np.conj(np.linalg.cholesky(g)))
+        np.testing.assert_allclose(noise_geometry(ms).jvec, jvec, rtol=1e-12, atol=1e-16)
+        report = enhancement_factor(ms, method=METHOD_BOTH)
+        assert report.regime == REGIME_INSIDE_BALL
+        assert report.eta < 1.5
+        np.testing.assert_allclose(
+            report.eta, 1.5 * (1.0 + 3.0 * u * u) / (1.0 + 3.0 * u), rtol=1e-12, atol=0
+        )
+
+
 class TestScaleInvariance:
     def test_weak_noise_repro(self):
         ms = random_low_noise(83, num_m=4).noise_ops

@@ -23,3 +23,17 @@ def test_script_exits_cleanly(script, args):
         env=env, capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
+
+
+@pytest.mark.parametrize(
+    "args",
+    [["--count", "0"], ["--max-ops", "0"], ["--max-ops", "7"]],
+)
+def test_survey_rejects_bad_arguments(args):
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "eta_survey.py"), *args],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 2
+    assert "error:" in proc.stderr and "Traceback" not in proc.stderr
