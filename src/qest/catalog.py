@@ -55,6 +55,10 @@ def gad(beta_e: float) -> LowNoiseChannel:
         b2 = np.sqrt(p_up) * np.diag([decay, 1.0]).astype(complex)
         return [b1, b2], [m1.copy(), m2.copy()]
 
+    def b_derivative(eps: float):
+        ddecay = -0.5 / np.sqrt(1.0 - eps)
+        return [np.diag([0.0, np.sqrt(p_down) * ddecay]), np.diag([np.sqrt(p_up) * ddecay, 0.0])]
+
     return LowNoiseChannel(
         dim=2,
         kappas=(np.sqrt(p_down) + 0.0j, np.sqrt(p_up) + 0.0j),
@@ -63,6 +67,7 @@ def gad(beta_e: float) -> LowNoiseChannel:
         generator=generate,
         validity=(0.0, 1.0),
         name="gad",
+        b_derivative=b_derivative,
     )
 
 

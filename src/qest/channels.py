@@ -58,11 +58,16 @@ class KrausChannel:
         for k in ops:
             k.setflags(write=False)
         object.__setattr__(self, "kraus", ops)
-        d2 = self.dim * self.dim
         stack = np.stack(ops)
-        transfer = np.einsum("kab,kdc->adbc", stack, np.conj(stack)).reshape(d2, d2)
+        transfer = transfer_matrix(stack, stack)
         transfer.setflags(write=False)
         object.__setattr__(self, "transfer", transfer)
+
+
+def transfer_matrix(left: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """``sum_k left_k (x) conj(right_k)`` in the layout of :attr:`KrausChannel.transfer`."""
+    d2 = left.shape[-1] ** 2
+    return np.einsum("kab,kdc->adbc", left, np.conj(right)).reshape(d2, d2)
 
 
 def identity_channel(dim: int) -> KrausChannel:
@@ -101,11 +106,13 @@ def extend_with_ancilla(ch: KrausChannel, dim_a: int) -> KrausChannel:
     """The extended channel acting as ``ch`` on the system and identity on an ancilla."""
     if dim_a < 1:
         raise ValidationError(f"ancilla dimension must be >= 1, got {dim_a}")
-    # K (x) I for the whole stack in one broadcast product: entry
-    # (i a + p, j a + q) is K_ij delta_pq
-    stack = np.stack(ch.kraus)[:, :, None, :, None] * np.eye(dim_a, dtype=complex)[:, None, :]
-    d = ch.dim * dim_a
-    return KrausChannel(dim=d, kraus=tuple(stack.reshape(-1, d, d)))
+    return KrausChannel(dim=ch.dim * dim_a, kraus=tuple(_with_identity(ch.kraus, dim_a)))
+
+
+def _with_identity(ops, dim_a: int) -> np.ndarray:
+    """``K (x) I`` for a stack in one product: entry ``(i a + p, j a + q)`` is ``K_ij delta_pq``."""
+    stack = np.asarray(ops, dtype=complex)[:, :, None, :, None] * np.eye(dim_a)[:, None, :]
+    return stack.reshape(len(stack), stack.shape[1] * dim_a, -1)
 
 
 @dataclass(frozen=True)
@@ -115,8 +122,8 @@ class LowNoiseChannel:
     ``generator(eps)`` returns the two Kraus classes ``(Bs, Cs)`` exactly, for
     any eps in ``validity``; ``kappas``, ``first_order`` and ``noise_ops`` are
     the expansion data (B_a(0) = kappa_a I, first_order_a = -B_a'(0),
-    noise_ops_alpha = C_alpha(0)).
-    """
+    noise_ops_alpha = C_alpha(0)).  ``b_derivative(eps)``, if given, is dB/deps
+    of the generator's B's, for a generator whose C's do not depend on eps."""
 
     dim: int
     kappas: tuple[complex, ...]
@@ -125,6 +132,7 @@ class LowNoiseChannel:
     generator: KrausGenerator
     validity: tuple[float, float]
     name: str = "low_noise"
+    b_derivative: Callable[[float], list[np.ndarray]] | None = None
 
     def __post_init__(self):
         n1 = tuple(np.array(m, dtype=complex) for m in self.first_order)
@@ -211,6 +219,9 @@ def from_noise_operators(noise_ops, name: str = "low_noise") -> LowNoiseChannel:
         b = (v * np.sqrt(diag)) @ dagger(v)
         return [b], list(ms)
 
+    def b_derivative(eps: float):
+        return [(v * (-0.5 * w / np.sqrt(1.0 - eps * w))) @ dagger(v)]
+
     return LowNoiseChannel(
         dim=dim,
         kappas=(1.0 + 0.0j,),
@@ -219,6 +230,7 @@ def from_noise_operators(noise_ops, name: str = "low_noise") -> LowNoiseChannel:
         generator=generate,
         validity=(0.0, min(0.9 * (1.0 / lam_max), np.finfo(float).max)),  # 1/lam_max overflows if subnormal
         name=name,
+        b_derivative=b_derivative,
     )
 
 
@@ -227,25 +239,30 @@ class ChannelFamily:
     """A rule mapping a real parameter to a Kraus channel.
 
     ``build`` is unchecked; :meth:`evaluate` is the checked entry point.  A
-    family that leaks trace anywhere in its validity interval is a
-    construction bug.
+    family that leaks trace anywhere in its validity interval is a bug.
+    ``derivative``, if given, is dK/dtheta of the Kraus operators, in order.
     """
 
     parameter: str
     validity: tuple[float, float]
     build: Callable[[float], KrausChannel]
     dim: int
+    derivative: Callable[[float], list[np.ndarray]] | None = None
 
-    def evaluate(self, theta: float) -> KrausChannel:
-        """``build(theta)``, checked for its range and against ``TP_TOL``."""
+    def check_range(self, theta: float) -> None:
+        """Refuse ``theta`` outside the validity interval."""
         lo, hi = self.validity
         if not (lo <= theta <= hi):
             raise ParameterRangeError(
                 f"{self.parameter} = {theta} outside validity interval [{lo}, {hi}]"
             )
+
+    def evaluate(self, theta: float) -> KrausChannel:
+        """``build(theta)``, checked for its range and against ``TP_TOL``."""
+        self.check_range(theta)
         ch = self.build(theta)
         resid = validate_trace_preserving(ch)
-        if resid > TP_TOL:
+        if not resid <= TP_TOL:  # a NaN residual fails too
             raise ValidationError(
                 f"family evaluation at {self.parameter} = {theta} is not trace "
                 f"preserving: residual {resid:.3e}"
@@ -264,7 +281,12 @@ def family_from_low_noise(ln: LowNoiseChannel) -> ChannelFamily:
             kraus.extend(root * np.asarray(c, dtype=complex) for c in cs)
         return KrausChannel(dim=ln.dim, kraus=tuple(kraus))
 
-    return ChannelFamily(parameter="epsilon", validity=ln.validity, build=build, dim=ln.dim)
+    def derivative(eps: float) -> list[np.ndarray]:
+        cs = ln.generator(float(eps))[1]
+        return [*ln.b_derivative(float(eps)), *(np.asarray(c) * (0.5 / np.sqrt(eps)) for c in cs)]
+
+    return ChannelFamily(parameter="epsilon", validity=ln.validity, build=build, dim=ln.dim,
+                         derivative=None if ln.b_derivative is None else derivative)
 
 
 def extend_family(fam: ChannelFamily, dim_a: int) -> ChannelFamily:
@@ -273,4 +295,6 @@ def extend_family(fam: ChannelFamily, dim_a: int) -> ChannelFamily:
         validity=fam.validity,
         build=lambda theta: extend_with_ancilla(fam.build(theta), dim_a),
         dim=fam.dim * dim_a,
+        derivative=None if fam.derivative is None
+        else lambda theta: list(_with_identity(fam.derivative(theta), dim_a)),
     )

@@ -3,10 +3,11 @@
 The symmetric logarithmic derivative L of a family rho_theta solves
 ``d rho = (L rho + rho L)/2`` and is Hermitian; the quantum Fisher information
 is ``tr(rho L^2) = sum_ij 2 |d_ij|^2 / (p_i + p_j)`` in the eigenbasis of rho.
-For channel families the derivative of the output state is taken by
-:func:`richardson_derivative`, the package's one finite-difference rule, at
-step :func:`default_fd_step`; :func:`qest.unitary.log_hamiltonian` uses it at
-a fixed step.  Neither step nor the kernel tolerance is an argument.
+For channel families the derivative of the output state is exact where the
+family has Kraus derivatives, else :func:`richardson_derivative`, the one
+finite-difference rule, at step :func:`default_fd_step` (at a fixed step in
+:func:`qest.unitary.log_hamiltonian`).  Neither step nor the kernel tolerance
+is an argument.
 
 The QFI itself never builds L: for qubit outputs it is closed form in the
 Bloch vectors of rho and d rho (no eigensolve), for larger outputs it is the
@@ -27,15 +28,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import ChannelFamily, apply_transfer
+from .channels import ChannelFamily, apply_transfer, transfer_matrix
 from .errors import DegenerateFamilyError, ParameterRangeError, ValidationError
 from .linalg import (
+    PAULIS,
     bloch_angles,
     bloch_state,
-    bloch_to_density,
+    check_bloch,
     check_hermitian,
     dagger,
     density_to_bloch,
+    eigh,
     fibonacci_sphere,
     hermitian_eig,
     pattern_search,
@@ -63,9 +66,9 @@ class EstimationResult:
 
 @dataclass(frozen=True)
 class SearchConfig:
-    """Pure-input search: dim-2 grid size, dim-4 grid resolution n (``(n + 1)
-    // 2`` shells of ``n * n`` reduced states, 32 at 4), and whether
-    :func:`~qest.linalg.pattern_search` refines the grid winner."""
+    """Pure-input search: dim-2 grid size, dim-4 grid resolution n (``n // 2``
+    shells of ``n * n`` reduced states, 32 at 4, and the centre at odd n), and
+    whether :func:`~qest.linalg.pattern_search` refines the grid winner."""
 
     sphere_points: int = 2000
     schmidt_points: int = 4
@@ -101,29 +104,29 @@ def _sld_from_eigensystem(p, v, drho):
     return 0.5 * (sld_mat + dagger(sld_mat))
 
 
-def _qfi_values(rho, drho, kernel_tol, eig=None):
-    """QFI ``sum_ij 2 |d_ij|^2 / (p_i + p_j)`` over ``p_i + p_j > kernel_tol``
-    of a batch ``(..., d, d)``, without building the SLD.  For d > 2 it
-    takes the eigensystem ``eig = (p, v)`` of rho when given, else solves it.
-
-    For d = 2 it is closed form: with ``rho = (s I + r.sigma)/2``,
+def _qubit_qfi(s, r, t, dr, kernel_tol):
+    """Closed-form qubit QFI, batched: with ``rho = (s I + r.sigma)/2``,
     ``drho = (t I + dr.sigma)/2`` and ``a = r.dr/|r|`` (0 at r = 0), the
     eigenvalues are ``(s -+ |r|)/2`` and the QFI is
     ``(t - a)^2/2 / (s - |r|) + (t + a)^2/2 / (s + |r|) + (|dr|^2 - a^2) / s``,
-    each term kept only where its denominator exceeds ``kernel_tol``.
-    """
+    each term kept only where its denominator exceeds ``kernel_tol``."""
+    nr = np.sqrt(np.einsum("...i,...i->...", r, r))
+    a = np.einsum("...i,...i->...", r, dr)
+    a = np.divide(a, nr, out=np.zeros_like(nr), where=nr > 0.0)
+    num = np.stack([(t - a) ** 2 / 2.0, (t + a) ** 2 / 2.0,
+                    np.einsum("...i,...i->...", dr, dr) - a * a])
+    den = np.stack([s - nr, s + nr, s])
+    return np.divide(num, den, out=np.zeros_like(num), where=den > kernel_tol).sum(axis=0)
+
+
+def _qfi_values(rho, drho, kernel_tol, eig=None):
+    """QFI ``sum_ij 2 |d_ij|^2 / (p_i + p_j)`` over ``p_i + p_j > kernel_tol``
+    of a batch ``(..., d, d)``, without the SLD: :func:`_qubit_qfi` at d = 2,
+    else over the eigensystem ``eig = (p, v)`` of rho, solved if not given."""
     if rho.shape[-1] == 2:
         check_hermitian(rho, tol=1e-8)
-        r, dr = density_to_bloch(rho), density_to_bloch(drho)
-        s = np.real(rho[..., 0, 0] + rho[..., 1, 1])
-        t = np.real(drho[..., 0, 0] + drho[..., 1, 1])
-        nr = np.sqrt(np.einsum("...i,...i->...", r, r))
-        a = np.einsum("...i,...i->...", r, dr)
-        a = np.divide(a, nr, out=np.zeros_like(nr), where=nr > 0.0)
-        num = np.stack([(t - a) ** 2 / 2.0, (t + a) ** 2 / 2.0,
-                        np.einsum("...i,...i->...", dr, dr) - a * a])
-        den = np.stack([s - nr, s + nr, s])
-        return np.divide(num, den, out=np.zeros_like(num), where=den > kernel_tol).sum(axis=0)
+        s, t = (np.real(m[..., 0, 0] + m[..., 1, 1]) for m in (rho, drho))
+        return _qubit_qfi(s, density_to_bloch(rho), t, density_to_bloch(drho), kernel_tol)
     p, v = eig or hermitian_eig(rho, tol=1e-8)
     d = dagger(v) @ drho @ v
     return np.einsum("...ij,...ij->...", _sld_weights(p, kernel_tol), d.real ** 2 + d.imag ** 2)
@@ -154,14 +157,12 @@ def qfi(rho: np.ndarray, sld_op: np.ndarray) -> float:
 class QfiEvaluator:
     """Pre-built channel evaluations for one (family, theta) point.
 
-    Channels do not depend on the input state, so the five builds needed for
-    the derivative are done once, each through ``family.evaluate``, the one
-    parameter-range and trace-preservation check.  A channel is linear in
-    rho, so only two transfer matrices (see
-    :class:`~qest.channels.KrausChannel`) are kept: ``S(theta)`` and its
-    :func:`richardson_derivative` at step :func:`default_fd_step`.  The
-    output state and its derivative for a batch of inputs are then two
-    matrix products.
+    It keeps two transfer matrices (:class:`~qest.channels.KrausChannel`),
+    ``S(theta)`` from one ``family.evaluate`` and ``dS = sum_k dK (x) conj(K) +
+    K (x) conj(dK)`` from the Kraus derivatives or, if the family has none, the
+    :func:`richardson_derivative` of four more builds; ``theta +- h`` (h =
+    :func:`default_fd_step`) must be valid.  Both must have finite Hermitian
+    Choi matrices (preserve Hermiticity).  Inputs cost two matrix products.
     """
 
     def __init__(self, family: ChannelFamily, theta: float):
@@ -173,8 +174,19 @@ class QfiEvaluator:
             )
         self.family = family
         self.theta = float(theta)
-        self._s0 = family.evaluate(theta).transfer
-        self._ds = richardson_derivative(lambda t: family.evaluate(t).transfer, theta, h)
+        ch = family.evaluate(theta)
+        self._s0 = ch.transfer
+        if family.derivative is None:
+            self._ds = richardson_derivative(lambda t: family.evaluate(t).transfer, theta, h)
+        else:
+            for t in (theta + h, theta - h):
+                family.check_range(t)
+            k, dk = np.stack(ch.kraus), np.asarray(family.derivative(theta), dtype=complex)
+            if dk.shape != k.shape:
+                raise ValidationError(f"Kraus derivative shape {dk.shape} != Kraus shape {k.shape}")
+            self._ds = transfer_matrix(np.concatenate([dk, k]), np.concatenate([k, dk]))
+        choi = np.stack([self._s0, self._ds]).reshape((2,) + (family.dim,) * 4).transpose(0, 1, 3, 2, 4)
+        check_hermitian(choi.reshape(2, len(self._s0), -1), what="Choi matrix of S or dS")
 
     def output_and_derivative(self, rho_in: np.ndarray):
         dim = self.family.dim
@@ -200,6 +212,34 @@ class QfiEvaluator:
             qfi=0.0 if -1e-12 < val < 0.0 else val,
             optimal_estimator=estimator,
         )
+
+
+def _poll_kernel(ev: QfiEvaluator):
+    """``ev.qfi`` of the search's inputs at a stack of Bloch points: pure state
+    x at dim 2, by :func:`_qubit_qfi` of ``R (1, x)`` with R the real
+    Pauli-transfer matrices of S and dS; purification of the reduced state y
+    at dim 4, by one product with S and dS and one ``eigh``.  It skips the
+    per-call Hermiticity checks: the evaluator has checked S and dS."""
+    dim = ev.family.dim
+    sd = np.stack([ev._s0, ev._ds])
+    if dim == 2:
+        paulis = np.stack([np.eye(2), *PAULIS]).reshape(4, 4).T  # columns vec(sigma_mu)
+        rr = np.real(dagger(paulis) @ sd @ paulis).reshape(8, 4) / 2.0
+
+        def f(xs):
+            out = check_bloch(xs) @ rr[:, 1:].T + rr[:, 0]
+            return _qubit_qfi(out[..., 0], out[..., 1:4], out[..., 4], out[..., 5:], KERNEL_TOL)
+
+        return f
+    stacked = sd.reshape(2 * dim * dim, dim * dim).T
+
+    def f(ys):
+        rho_in = pure_to_density(purification(ys)).reshape(-1, dim * dim)
+        out = (rho_in @ stacked).reshape(-1, 2, dim, dim)
+        p, v = eigh(out[:, 0])
+        return _qfi_values(out[:, 0], 0.5 * (out[:, 1] + dagger(out[:, 1])), KERNEL_TOL, (p, v))
+
+    return f
 
 
 def channel_qfi(family: ChannelFamily, rho_in: np.ndarray, theta: float) -> EstimationResult:
@@ -249,14 +289,14 @@ def maximize_qfi_pure(
     purifications differ by an ancilla unitary, which commutes with
     ``Phi (x) id``; so it runs over the Bloch ball of sigma and evaluates
     each point at its canonical purification ``vec(sqrt(sigma))``
-    (:func:`~qest.linalg.purification`).  The grid is ``(n + 1) // 2``
-    shells of radius ``cos(pi k / (n - 1))`` times ``n * n`` Fibonacci
-    directions, ``n = schmidt_points``.  The QFI there is concave in sigma,
-    a minimum of concave terms: it is ``min_h 4 [tr(sigma H1(h)) - tr(sigma
-    H2(h))^2]`` over Kraus representations h (Fujiwara & Imai, J. Phys. A 41,
-    255304, 2008; Escher, de Matos Filho & Davidovich, Nat. Phys. 7, 406,
-    2011).  So every local maximum over the Bloch ball is global, and the
-    grid only picks a basin for the refinement.
+    (:func:`~qest.linalg.purification`).  The grid is ``(n + 1) // 2`` shells
+    of radius ``cos(pi k / (n - 1))`` times ``n * n`` Fibonacci directions,
+    ``n = schmidt_points``, or the centre alone at radius ``cos(pi / 2)``.  The
+    QFI there is concave in sigma, a minimum of concave terms: it is ``min_h
+    4 [tr(sigma H1(h)) - tr(sigma H2(h))^2]`` over Kraus representations h
+    (Fujiwara & Imai, J. Phys. A 41, 255304, 2008; Escher, de Matos Filho &
+    Davidovich, Nat. Phys. 7, 406, 2011).  So every local maximum over the
+    Bloch ball is global, and the grid only picks a basin for the refinement.
     """
     cfg = search or SearchConfig()
     if dim not in (2, 4):
@@ -264,23 +304,18 @@ def maximize_qfi_pure(
     if family.dim != dim:
         raise ValidationError(f"family dimension {family.dim} != requested dim {dim}")
     ev = QfiEvaluator(family, theta)
+    f = _poll_kernel(ev)
 
     if dim == 2:
         grid, project = fibonacci_sphere(cfg.sphere_points), to_sphere
-
-        def f(xs):
-            return ev.qfi(bloch_to_density(xs))
 
         def state(x):
             return bloch_state(*bloch_angles(x))
     else:
         n = cfg.schmidt_points
         radii = np.cos(np.linspace(0.0, np.pi, n)[: (n + 1) // 2])
-        grid = (radii[:, None, None] * fibonacci_sphere(n * n)).reshape(-1, 3)
+        grid = np.concatenate([r * fibonacci_sphere(n * n if r > 1e-9 else 1) for r in radii])
         project, state = to_ball, purification
-
-        def f(ys):
-            return ev.qfi(pure_to_density(purification(ys)))
 
     x = pattern_search(f, grid, project)[0] if cfg.refine else grid[int(np.argmax(f(grid)))]
     psi = state(x)

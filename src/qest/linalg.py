@@ -5,10 +5,10 @@ Most routines accept a stack of matrices (shape ``(..., n, n)``) and broadcast
 over the leading axes; the batched form is what makes grid searches over
 thousands of input states affordable.
 
-The eigensolver is LAPACK ``eigh`` (through numpy), batched over stacks, on
-the Hermitian part of its input.  Eigenvalues come out ascending and every
-eigenvector's phase is fixed by one convention, so results are
-byte-identical between runs on the same machine; another LAPACK build may
+The eigensolver is LAPACK ``eigh`` (through numpy), batched over stacks.
+:func:`hermitian_eig` solves the Hermitian part of its input, with ascending
+eigenvalues and every eigenvector's phase fixed by one convention, so results
+are byte-identical between runs on the same machine; another LAPACK build may
 differ in the last bits.
 """
 
@@ -76,11 +76,7 @@ def hermitian_eig(m: np.ndarray, tol: float = HERMITIAN_TOL) -> tuple[np.ndarray
     if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
         raise ValidationError(f"expected a square matrix, got shape {a.shape}")
     check_hermitian(a, tol=tol)
-
-    try:
-        w, v = np.linalg.eigh(0.5 * (a + dagger(a)))
-    except np.linalg.LinAlgError as exc:
-        raise ConvergenceError(f"eigh did not converge: {exc}") from exc
+    w, v = eigh(0.5 * (a + dagger(a)))
 
     # phase convention: largest-magnitude component of each column real positive
     idx = np.argmax(np.abs(v), axis=-2)
@@ -88,6 +84,14 @@ def hermitian_eig(m: np.ndarray, tol: float = HERMITIAN_TOL) -> tuple[np.ndarray
     phase = lead / np.abs(lead)
     v = v * np.conj(phase)[..., None, :]
     return w, v
+
+
+def eigh(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """numpy's ``eigh``, unchecked, no phase convention; LinAlgError -> ConvergenceError."""
+    try:
+        return np.linalg.eigh(a)
+    except np.linalg.LinAlgError as exc:
+        raise ConvergenceError(f"eigh did not converge: {exc}") from exc
 
 
 def tensor_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -131,14 +135,20 @@ def pauli_decompose(m: np.ndarray) -> tuple[complex, complex, complex, complex]:
     return complex(m0), complex(m1), complex(m2), complex(m3)
 
 
-def bloch_to_density(x: np.ndarray) -> np.ndarray:
-    """Density matrix ``(I + x . sigma)/2`` for Bloch vectors of norm <= 1 + 1e-9, batched."""
+def check_bloch(x: np.ndarray) -> np.ndarray:
+    """``x`` as float Bloch vectors, batched, each of 3 components and norm <= 1 + 1e-9."""
     x = np.asarray(x, dtype=float)
     if x.shape[-1] != 3:
         raise ValidationError(f"Bloch vector needs 3 components, got shape {x.shape}")
     norm = np.linalg.norm(x, axis=-1)
     if np.any(norm > 1.0 + 1e-9):
         raise ValidationError(f"Bloch vector norm {float(np.max(norm)):.12f} exceeds 1")
+    return x
+
+
+def bloch_to_density(x: np.ndarray) -> np.ndarray:
+    """Density matrix ``(I + x . sigma)/2`` for Bloch vectors of norm <= 1 + 1e-9, batched."""
+    x = check_bloch(x)
     eye = np.broadcast_to(ID2, x.shape[:-1] + (2, 2))
     return 0.5 * (
         eye
@@ -199,9 +209,11 @@ def purification(x: np.ndarray) -> np.ndarray:
     """Canonical purification ``vec(sqrt(sigma))`` of the qubit state with Bloch
     vector ``x``, batched, system index first; closed form, as ``sqrt(sigma) =
     (sigma + c I)/sqrt(1 + 2c)`` with ``c = sqrt(det sigma) = sqrt(1 - |x|^2)/2``."""
-    sigma = bloch_to_density(x)
-    c = 0.5 * np.sqrt(np.clip(1.0 - np.sum(np.square(x), axis=-1), 0.0, None))[..., None, None]
-    return ((sigma + c * ID2) / np.sqrt(1.0 + 2.0 * c)).reshape(np.shape(x)[:-1] + (4,))
+    x = check_bloch(x)
+    c = 0.5 * np.sqrt(np.clip(1.0 - np.sum(np.square(x), axis=-1), 0.0, None))
+    off, z = 0.5 * (x[..., 0] - 1j * x[..., 1]), x[..., 2]
+    vec = np.stack([0.5 * (1.0 + z) + c, off, np.conj(off), 0.5 * (1.0 - z) + c], axis=-1)
+    return vec / np.sqrt(1.0 + 2.0 * c)[..., None]
 
 
 def fibonacci_sphere(n: int) -> np.ndarray:

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -18,7 +20,7 @@ from qest.channels import (
     validate_trace_preserving,
 )
 from qest.errors import ParameterRangeError, ValidationError
-from qest.estimation import QfiEvaluator
+from qest.estimation import QfiEvaluator, richardson_derivative
 from qest.linalg import ID2, PAULIS, hermitian_eig, partial_trace, tensor_product
 
 from conftest import random_density, random_noise_ops
@@ -193,9 +195,52 @@ class TestFamilyEvaluation:
             return original(ch)
 
         monkeypatch.setattr(qest.channels, "validate_trace_preserving", counting)
-        fam = family_from_low_noise(random_low_noise(3))
-        QfiEvaluator(extend_family(fam, 2) if ancilla else fam, 0.05)
-        assert len(calls) == 5
+        for ln in (random_low_noise(3), depolarizing(), gad(0.7)):
+            calls.clear()
+            fam = family_from_low_noise(ln)
+            QfiEvaluator(extend_family(fam, 2) if ancilla else fam, 0.05)
+            assert len(calls) == 1  # exact Kraus derivatives: one build
+        # a family with only a build takes four more for its differenced derivative
+        ln = random_low_noise(3)
+        for fam in (
+            ChannelFamily("epsilon", ln.validity, family_from_low_noise(ln).build, 2),
+            family_from_low_noise(replace(ln, b_derivative=None)),
+        ):
+            calls.clear()
+            QfiEvaluator(extend_family(fam, 2) if ancilla else fam, 0.05)
+            assert len(calls) == 5
+
+    def test_refuses_a_nan_residual(self):
+        k = np.array([[np.nan, 0.0], [0.0, 1.0]])
+        fam = ChannelFamily("theta", (0.0, 1.0), lambda t: KrausChannel(2, (k,)), 2)
+        with pytest.raises(ValidationError, match="not trace preserving"):
+            fam.evaluate(0.5)
+
+
+class TestKrausDerivative:
+    @pytest.mark.parametrize("dim_a", [1, 2])
+    def test_matches_the_differenced_build(self, dim_a):
+        lns = [depolarizing(), gad(0.0), gad(2.0)]
+        lns += [random_low_noise(s, num_m=1 + s % 6) for s in range(6)]
+        for ln in lns:
+            fam = family_from_low_noise(ln)
+            fam = extend_family(fam, dim_a) if dim_a > 1 else fam
+            for eps in (0.01, 0.3 * ln.validity[1], 0.7 * ln.validity[1]):
+                exact = np.asarray(fam.derivative(eps))
+                diff = richardson_derivative(lambda t: np.stack(fam.build(t).kraus), eps, 1e-4 * eps)
+                np.testing.assert_allclose(exact, diff, rtol=0, atol=1e-7 * np.max(np.abs(exact)))
+
+    def test_exact_and_differenced_evaluators_agree(self):
+        ln = random_low_noise(5, num_m=3)
+        for dim_a in (1, 2):
+            exact = family_from_low_noise(ln)
+            build_only = family_from_low_noise(replace(ln, b_derivative=None))
+            if dim_a > 1:
+                exact, build_only = extend_family(exact, dim_a), extend_family(build_only, dim_a)
+            assert exact.derivative is not None and build_only.derivative is None
+            eps = 0.2 * ln.validity[1]
+            np.testing.assert_allclose(QfiEvaluator(exact, eps)._ds,
+                                       QfiEvaluator(build_only, eps)._ds, rtol=0, atol=1e-9)
 
 
 class TestNoiseOperatorValidation:

@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qest.catalog import depolarizing, random_low_noise, rotation_unitary
+from qest.catalog import depolarizing, gad, random_low_noise, rotation_unitary
 from qest.channels import (
     ChannelFamily,
     extend_family,
@@ -162,6 +162,16 @@ class TestChannelQfi:
         assert res.qfi < 1e-12
         assert res.optimal_estimator is None
 
+    @pytest.mark.parametrize("eps", [0.01, 0.1, 0.5, 1.0])
+    def test_depolarizing_closed_forms(self, eps):
+        fam = family_from_low_noise(depolarizing())
+        bell = np.zeros(4, dtype=complex)
+        bell[0] = bell[3] = 1 / np.sqrt(2)
+        plain = channel_qfi(fam, bloch_to_density([0, 0, 1]), eps).qfi
+        extended = channel_qfi(extend_family(fam, 2), pure_to_density(bell), eps).qfi
+        assert abs(plain * eps * (2 - eps) - 1.0) < 1e-13
+        assert abs(extended * eps * (4 - 3 * eps) / 3 - 1.0) < 1e-13
+
     def test_refuses_divergent_region(self):
         fam = family_from_low_noise(depolarizing())
         with pytest.raises(ParameterRangeError):
@@ -190,11 +200,62 @@ class TestQfiEvaluator:
         single = [channel_qfi(fam, rho, 0.05).qfi for rho in rhos]
         np.testing.assert_allclose(batch, single, rtol=1e-12, atol=0)
 
+    def test_refuses_a_non_finite_derivative(self):
+        fam = ChannelFamily("theta", (0.0, 1.0), lambda t: identity_channel(2), 2,
+                            derivative=lambda t: [np.diag([np.nan, 0.0])])
+        with pytest.raises(ValidationError, match="Choi"):
+            QfiEvaluator(fam, 0.5)
+
+    def test_refuses_one_derivative_too_many(self):
+        # a wrong count would pair dK with the wrong K without an error
+        fam = ChannelFamily("theta", (0.0, 1.0), lambda t: identity_channel(2), 2,
+                            derivative=lambda t: [np.eye(2), np.eye(2)])
+        with pytest.raises(ValidationError, match="derivative shape"):
+            QfiEvaluator(fam, 0.5)
+
     def test_rejects_a_state_of_the_wrong_dimension(self):
         ev = QfiEvaluator(extend_family(family_from_low_noise(depolarizing()), 2), 0.1)
         for rho in (ID2 / 2, np.eye(3, dtype=complex) / 3, np.ones(4, dtype=complex)):
             with pytest.raises(ValidationError):
                 ev.qfi(rho)
+
+
+class TestPollKernel:
+    """The search objectives agree with the checked batch QFI on the same inputs."""
+
+    @staticmethod
+    def families():
+        w, v = np.linalg.eigh(np.array([[0.3, 0.2 - 0.4j], [0.2 + 0.4j, -0.5]]))
+        unitary = unitary_channel_family(UnitaryFamily(
+            parameter="theta", validity=(-10.0, 10.0), dim=2,
+            build=lambda theta: (v * np.exp(-1j * theta * w)) @ dagger(v),
+        ))
+        ln = random_low_noise(8, num_m=3)
+        return [(family_from_low_noise(ln), 0.2 * ln.validity[1]),
+                (family_from_low_noise(gad(0.8)), 0.3), (unitary, 0.7)]
+
+    def test_qubit_sphere_points(self):
+        xs = fibonacci_sphere(300)
+        for fam, theta in self.families():
+            ev = QfiEvaluator(fam, theta)
+            np.testing.assert_allclose(estimation._poll_kernel(ev)(xs),
+                                       ev.qfi(bloch_to_density(xs)), rtol=1e-12, atol=0)
+
+    def test_reduced_state_ball_points(self, rng):
+        ys = rng.standard_normal((300, 3))
+        ys *= rng.uniform(0.0, 1.0, (300, 1)) / np.linalg.norm(ys, axis=-1, keepdims=True)
+        ys = np.concatenate([ys, np.zeros((1, 3)), fibonacci_sphere(20)])
+        for fam, theta in self.families():
+            ev = QfiEvaluator(extend_family(fam, 2), theta)
+            np.testing.assert_allclose(estimation._poll_kernel(ev)(ys),
+                                       ev.qfi(pure_to_density(purification(ys))), rtol=1e-12, atol=0)
+
+    def test_refuses_points_outside_the_ball(self):
+        for dim_a in (1, 2):
+            fam = family_from_low_noise(depolarizing())
+            f = estimation._poll_kernel(QfiEvaluator(extend_family(fam, dim_a), 0.1))
+            with pytest.raises(ValidationError):
+                f(np.array([[0.0, 0.0, 1.0 + 1e-6]]))
 
 
 class TestQfiValues:
@@ -423,15 +484,37 @@ class TestMaximizePure:
 
     def test_default_extended_grid_has_32_states(self, monkeypatch):
         batches = []
-        original = QfiEvaluator.qfi
+        original = estimation._poll_kernel
 
-        def counting_qfi(ev, rho_in):
-            batches.append(rho_in.shape[:-2])
-            return original(ev, rho_in)
+        def counting_kernel(ev):
+            f = original(ev)
 
-        monkeypatch.setattr(QfiEvaluator, "qfi", counting_qfi)
+            def counting_f(ys):
+                batches.append(ys.shape[:-1])
+                return f(ys)
+
+            return counting_f
+
+        monkeypatch.setattr(estimation, "_poll_kernel", counting_kernel)
         maximize_qfi_pure(extend_family(family_from_low_noise(depolarizing()), 2), 0.1, 4)
         assert batches[0] == (32,)
+
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    def test_extended_grid_points_are_distinct(self, monkeypatch, n):
+        grids = []
+        original = estimation.pattern_search
+
+        def spy(f, grid, project):
+            grids.append(grid)
+            return original(f, grid, project)
+
+        monkeypatch.setattr(estimation, "pattern_search", spy)
+        fam = extend_family(family_from_low_noise(random_low_noise(2)), 2)
+        maximize_qfi_pure(fam, 0.05, 4, search=SearchConfig(schmidt_points=n))
+        (grid,) = grids
+        gaps = np.linalg.norm(grid[:, None] - grid[None], axis=-1) + np.diag(np.full(len(grid), 9.0))
+        assert np.min(gaps) > 1e-3
+        assert len(grid) == (n // 2) * n * n + n % 2
 
     def test_extended_search_solves_no_2x2_eigenproblem(self, monkeypatch):
         # the purification of a reduced state is closed form; only the
