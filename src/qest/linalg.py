@@ -136,12 +136,15 @@ def pauli_decompose(m: np.ndarray) -> tuple[complex, complex, complex, complex]:
 
 
 def check_bloch(x: np.ndarray) -> np.ndarray:
-    """``x`` as float Bloch vectors, batched, each of 3 components and norm <= 1 + 1e-9."""
+    """``x`` as float Bloch vectors, batched, each of 3 finite components and
+    norm <= 1 + 1e-9."""
     x = np.asarray(x, dtype=float)
     if x.shape[-1] != 3:
         raise ValidationError(f"Bloch vector needs 3 components, got shape {x.shape}")
     norm = np.linalg.norm(x, axis=-1)
-    if np.any(norm > 1.0 + 1e-9):
+    if not (norm <= 1.0 + 1e-9).all():  # a NaN norm fails this test too
+        if not np.isfinite(x).all():
+            raise ValidationError("Bloch vector has a NaN or infinite component")
         raise ValidationError(f"Bloch vector norm {float(np.max(norm)):.12f} exceeds 1")
     return x
 

@@ -15,11 +15,13 @@ axial vector J built from its imaginary part, and then
 The enhancement factor eta is the ratio of the maximum of L over the solid
 ball (reduced states of ancilla-extended pure inputs) to the maximum over the
 unit sphere (unextended pure inputs).  For every qubit channel it lies in
-[1, 3/2].
+[1, 3/2].  :func:`enhancement_factor` works in the eigenbasis of H, from one
+real symmetric eigensolve of H/tr H, with J as ``d = v^T J`` there.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,10 +37,9 @@ from .linalg import (
     bloch_state,
     bloch_to_density,
     dagger,
+    eigh,
     fibonacci_sphere,
-    hermitian_eig,
     pattern_search,
-    pauli_decompose,
     purification,
     to_ball,
     to_sphere,
@@ -56,6 +57,11 @@ METHOD_BOTH = "BOTH"
 #: eigenvalue floor, in units of tr H, below which H counts as singular and
 #: below which eigenvalues count as equal in the sphere minimizer
 SINGULAR_REL_TOL = 1e-12
+
+#: ``mu_a = tr(sigma_a M)/2`` from the row-major entries of a 2x2 matrix M
+_PAULI_ROWS = 0.5 * np.array([[0, 1, 1, 0], [0, 1j, -1j, 0], [1, 0, 0, -1]])
+#: the -I block of the 6x6 multiplier pencil of _sphere_min
+_PENCIL = np.block([[np.zeros((3, 3)), -np.eye(3)], [np.zeros((3, 6))]])
 
 
 @dataclass(frozen=True)
@@ -124,18 +130,20 @@ def leading_qfi_coefficient(noise_ops, rho: np.ndarray) -> float:
     return total
 
 
+def _qubit_stack(noise_ops) -> np.ndarray:
+    """Noise operators as a complex ``(m, 2, 2)`` stack; one such is taken as checked."""
+    if getattr(noise_ops, "dtype", None) == complex and noise_ops.shape[1:] == (2, 2) and len(noise_ops):
+        return noise_ops
+    return np.array(as_noise_ops(noise_ops, dim=2)[0])
+
+
 def noise_geometry(noise_ops) -> NoiseGeometry:
-    """Pauli reduction (mu, g, H, J) of qubit noise operators."""
-    ms, d = as_noise_ops(noise_ops)
-    if d != 2:
-        raise ValidationError(f"noise geometry is defined for qubits only, got dim {d}")
-    mu = np.zeros((3, len(ms)), dtype=complex)
-    for alpha, m in enumerate(ms):
-        _, m1, m2, m3 = pauli_decompose(m)
-        mu[:, alpha] = (m1, m2, m3)
+    """Pauli reduction (mu, g, H, J) of qubit noise operators: ``mu`` is one
+    product of a constant (3, 4) matrix with the stacked operators."""
+    stack = _qubit_stack(noise_ops)
+    mu = _PAULI_ROWS @ stack.reshape(-1, 4).T
     g = np.conj(mu) @ mu.T
-    h = g.real.copy()
-    h = 0.5 * (h + h.T)
+    h = 0.5 * (g.real + g.real.T)
     jvec = np.array([g[1, 2].imag, g[2, 0].imag, g[0, 1].imag])
     return NoiseGeometry(mu=mu, g=g, h=h, jvec=jvec)
 
@@ -167,46 +175,49 @@ def _sphere_min(w, v, c):
 
     A trust-region subproblem: the minimizer solves ``(H - lam I) x = -c``
     with ``lam <= w_min``, and that multiplier is the leftmost eigenvalue of
-    ``[[H, -I], [-c c^T, H]]`` (Gander, Golub & von Matt 1989).  In the
-    eigenbasis ``y = -d / (w - lam)`` off the bottom eigenspace; the bottom
-    eigenspace takes the remaining norm along ``-d``, which also covers the
-    hard case ``lam = w_min``.  H is expected in units of its trace, so the
-    clustering threshold is a plain constant.
+    ``[[H, -I], [-c c^T, H]]`` (Gander, Golub & von Matt 1989), filled in place
+    in the eigenbasis, ``d = v^T c``.  There ``y = -d / (w - lam)`` off the
+    bottom eigenspace, which takes the remaining norm along ``-d`` (this also
+    covers the hard case ``lam = w_min``); no result depends on the signs of
+    v.  H is in units of its trace, so the clustering threshold is a constant.
     """
-    d = v.T @ c
-    pencil = np.block([[np.diag(w), -np.eye(3)], [-np.outer(d, d), np.diag(w)]])
-    lam = min(float(np.min(np.linalg.eigvals(pencil).real)), float(w[0]))
-    top = w - w[0] > SINGULAR_REL_TOL
-    y = np.zeros(3)
-    y[top] = -d[top] / (w[top] - lam)
-    fill = np.where(top, 0.0, -d)
-    if not fill.any():
-        fill[0] = 1.0
+    d = c @ v
+    pencil = _PENCIL.copy()
+    pencil.flat[::7] = w  # the diagonal, w twice
+    pencil[3:, :3] = np.multiply.outer(-d, d)
+    lam = min(float(np.linalg.eigvals(pencil).real.min()), float(w[0]))
+    bottom = w - w[0] <= SINGULAR_REL_TOL
+    y = d / np.where(bottom, -np.inf, lam - w)  # -d / (w - lam), and 0 on the bottom
+    fill = np.where(bottom, -d, 0.0)
+    if not fill.any():  # any bottom direction will do: v[:, 0], largest entry positive
+        fill[0] = math.copysign(1.0, v[np.argmax(np.abs(v[:, 0])), 0])
     fill /= np.abs(fill).max()  # the norm of a tiny fill would underflow to 0
-    y += np.sqrt(max(0.0, 1.0 - float(y @ y))) * fill / np.linalg.norm(fill)
-    y /= np.linalg.norm(y)
+    y += math.sqrt(max(0.0, 1.0 - float(y @ y))) / math.sqrt(fill @ fill) * fill
+    y /= math.sqrt(y @ y)
     return float(w @ (y * y) + 2.0 * d @ y), v @ y
 
 
 def min_quadratic_on_sphere(h_mat: np.ndarray, k: np.ndarray) -> tuple[float, np.ndarray]:
     """Minimize ``(x + k) . H (x + k)`` over unit vectors x.
 
-    H must be symmetric positive semidefinite.  Solved in units of tr H by
-    the trust-region eigenvalue solution: the Lagrange multiplier is the
-    leftmost eigenvalue of a 6x6 matrix built from H and ``H k``, and the
-    bottom eigenspace of H completes the norm in the hard case.
+    H must be finite, symmetric and positive semidefinite, and k finite.
+    Solved in units of tr H by :func:`enhancement_factor`'s real eigensolve
+    and trust-region solution: the Lagrange multiplier is the leftmost
+    eigenvalue of a 6x6 matrix built from H and ``H k``.
     """
     h_mat = np.asarray(h_mat, dtype=float)
     k = np.asarray(k, dtype=float)
     if h_mat.shape != (3, 3) or k.shape != (3,):
         raise ValidationError("expected a 3x3 matrix and a 3-vector")
+    if not (np.isfinite(h_mat).all() and np.isfinite(k).all()):
+        raise ValidationError("H and k must have finite entries")
     if np.max(np.abs(h_mat - h_mat.T)) > 1e-9:
         raise ValidationError("H must be symmetric")
-    w, v = hermitian_eig(h_mat.astype(complex))
+    w, v = eigh(0.5 * (h_mat + h_mat.T))
     if float(w[0]) < -1e-9 * max(1.0, float(w[-1])):
         raise ValidationError(f"H must be positive semidefinite, min eigenvalue {float(w[0]):.3e}")
     scale = float(np.sum(np.abs(w))) or 1.0  # tr H, up to roundoff; H = 0 keeps 1
-    val, x = _sphere_min(w / scale, v.real, h_mat @ k / scale)
+    val, x = _sphere_min(w / scale, v, h_mat @ k / scale)
     return scale * val + float(k @ h_mat @ k), x
 
 
@@ -215,50 +226,44 @@ def min_quadratic_on_sphere(h_mat: np.ndarray, k: np.ndarray) -> tuple[float, np
 # ---------------------------------------------------------------------------
 #
 # Below, H and J are in units of tr H, and so are the leading coefficients
-# until enhancement_factor multiplies them back.
+# until enhancement_factor multiplies them back.  H = v diag(w) v^T, and
+# d = v^T J is J in that eigenbasis; no result depends on the signs of v.
 
 
-def _frobenius_total(ms):
-    return sum(float(np.sum(np.abs(m) ** 2)) for m in ms)
-
-
-def _ball_max(h, jvec, eig, leading_pure, x_sphere):
+def _ball_max(w, v, d, leading_pure, x_sphere):
     """Ball maximum of the leading coefficient and its argument.  The objective
     is concave: its stationary point ``-H^+ J`` (H^+ the pseudo-inverse over
     eigenvalues above SINGULAR_REL_TOL) counts if ``H x = -J`` holds there and
     it lies in the ball; otherwise the maximum is the sphere's."""
-    w, v = eig
-    inv_w = np.where(w > SINGULAR_REL_TOL * w[-1], 1.0 / np.where(w > 0, w, 1.0), 0.0)
-    x0 = -(v @ (inv_w * (v.T @ jvec)))
-    consistent = np.linalg.norm(h @ x0 + jvec) <= 1e-10
-    if consistent and np.linalg.norm(x0) <= 1.0 + 1e-12:
-        leading_extended = 1.0 - float(jvec @ x0)
+    k = d / np.where(w > SINGULAR_REL_TOL * w[-1], w, np.inf)  # H^+ J; x = -v k
+    resid, norm0 = d - w * k, math.sqrt(k @ k)  # resid = H x + J
+    if math.sqrt(resid @ resid) <= 1e-10 and norm0 <= 1.0 + 1e-12:
+        leading_extended = 1.0 + float(d @ k)
         if leading_extended >= leading_pure:  # the ball contains the sphere
-            return leading_extended, x0 / max(1.0, float(np.linalg.norm(x0)))
+            return leading_extended, -(v @ (k / max(1.0, norm0)))
     return leading_pure, x_sphere
 
 
-def _classify(jvec, eig):
-    w, v = eig
-    if np.linalg.norm(jvec) <= 1e-12:
+def _classify(jvec, w, d):
+    if math.sqrt(jvec @ jvec) <= 1e-12:
         return REGIME_J_ZERO
     if float(w[0]) <= SINGULAR_REL_TOL * float(w[-1]):
         return REGIME_SINGULAR_H
-    k = v @ ((v.T @ jvec) / w)
-    return REGIME_INSIDE_BALL if np.linalg.norm(k) <= 1.0 else REGIME_OUTSIDE_BALL
+    k = d / w
+    return REGIME_INSIDE_BALL if math.sqrt(k @ k) <= 1.0 else REGIME_OUTSIDE_BALL
 
 
-def _closed_form(h, jvec, regime, sphere_min, x_sphere):
+def _closed_form(w, v, d, regime, sphere_min, x_sphere):
     """``(eta, leading_extended, x_ball)`` from the H^-1 expression of the regime."""
     if regime == REGIME_J_ZERO:
         return 1.0 / (1.0 - sphere_min), 1.0, np.zeros(3)
     if regime == REGIME_OUTSIDE_BALL:
         return 1.0, 1.0 - sphere_min, x_sphere
-    # inside the ball the minimum of (x+k).H(x+k) is zero, at x = -k, while
-    # its sphere minimum is sphere_min + J.k
-    k = np.linalg.solve(h, jvec)
-    jhj = float(jvec @ k)
-    return (1.0 + jhj) / (1.0 - sphere_min), 1.0 + jhj, -k
+    # inside the ball the minimum of (x+k).H(x+k) is zero, at x = -k = -H^-1 J,
+    # while its sphere minimum is sphere_min + J.k
+    k = d / w
+    jhj = float(d @ k)
+    return (1.0 + jhj) / (1.0 - sphere_min), 1.0 + jhj, -(v @ k)
 
 
 def enhancement_factor(noise_ops, method: str = METHOD_DIRECT) -> EnhancementReport:
@@ -269,46 +274,52 @@ def enhancement_factor(noise_ops, method: str = METHOD_DIRECT) -> EnhancementRep
     of H (always applicable); CLOSED_FORM uses the H^-1 expression and the
     regime split, BOTH runs both and records their discrepancy.  The ratio always lies in [1, 3/2].
 
-    H and J are divided by tr H first, so every threshold is relative and eta
-    does not depend on the scale of the noise operators; the leading
-    coefficients are reported in the operators' own units.  The sphere
-    maximum comes from the trust-region eigenvalue solution (see
-    :func:`min_quadratic_on_sphere`), computed once and shared by both paths.
+    Non-finite operators are refused.  An exact power-of-two scaling, then tr H,
+    make every threshold relative, so eta does not depend on the scale of the
+    operators; the leading coefficients are reported in their units (inf or 0
+    past entries of about 1e154 or 1e-162).  H/tr H has one real eigensolve and
+    one sphere minimum (:func:`min_quadratic_on_sphere`), shared by both paths.
     """
     if method not in (METHOD_CLOSED_FORM, METHOD_DIRECT, METHOD_BOTH):
         raise ValidationError(f"unknown method {method!r}")
-    ms, _ = as_noise_ops(noise_ops, dim=2)
-    geom = noise_geometry(ms)
-    tr_h = float(np.trace(geom.h))
-    if tr_h <= 1e-12 * _frobenius_total(ms):
+    stack = _qubit_stack(noise_ops)
+    peak = float(np.abs(stack).max())
+    if not math.isfinite(peak):
+        raise ValidationError("noise operators have a NaN or infinite entry")
+    shift = min(max(math.frexp(peak)[1], -1021), 1023)  # peak 2^-shift in [1/2, 1)
+    stack = stack * math.ldexp(1.0, -shift)
+    geom = noise_geometry(stack)
+    tr_h = float(geom.h.trace())
+    if tr_h <= 1e-12 * float(np.vdot(stack, stack).real):
         raise DegenerateChannelError(
             "every noise operator is proportional to the identity; "
             "the leading coefficient vanishes for all inputs"
         )
 
-    h, jvec = geom.h / tr_h, geom.jvec / tr_h
-    w, v = hermitian_eig(h.astype(complex))
-    eig = (w, v.real)
-    regime = _classify(jvec, eig)
+    jvec = geom.jvec / tr_h
+    w, v = eigh(geom.h / tr_h)
+    d = jvec @ v
+    regime = _classify(jvec, w, d)
     if method != METHOD_DIRECT and regime == REGIME_SINGULAR_H:
         raise SingularGeometryError(
             "noise metric is singular; the closed form needs H^-1, use the direct method"
         )
-    sphere_min, x_sphere = _sphere_min(*eig, jvec)
+    sphere_min, x_sphere = _sphere_min(w, v, jvec)
     pure = 1.0 - sphere_min
     agreement = None
     if method == METHOD_CLOSED_FORM:
-        eta, extended, x_ball = _closed_form(h, jvec, regime, sphere_min, x_sphere)
+        eta, extended, x_ball = _closed_form(w, v, d, regime, sphere_min, x_sphere)
     else:
-        extended, x_ball = _ball_max(h, jvec, eig, pure, x_sphere)
+        extended, x_ball = _ball_max(w, v, d, pure, x_sphere)
         eta = extended / pure
         if method == METHOD_BOTH:
-            eta_cf, _, x_ball_cf = _closed_form(h, jvec, regime, sphere_min, x_sphere)
+            eta_cf, _, x_ball_cf = _closed_form(w, v, d, regime, sphere_min, x_sphere)
             agreement = abs(eta - eta_cf)
             if regime != REGIME_OUTSIDE_BALL:
                 x_ball = x_ball_cf
+    unit = tr_h * math.ldexp(1.0, shift) * math.ldexp(1.0, shift)  # exact, or inf or 0
     return EnhancementReport(
-        eta=eta, regime=regime, leading_pure=tr_h * pure, leading_extended=tr_h * extended,
+        eta=eta, regime=regime, leading_pure=unit * pure, leading_extended=unit * extended,
         x_sphere=x_sphere, x_ball=x_ball, method=method, agreement=agreement,
     )
 

@@ -24,6 +24,11 @@ def random_pure(rng, n):
     return v / np.linalg.norm(v)
 
 
+def random_unitary(rng, n):
+    q, r = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
 def random_noise_ops(rng, num_m, scale=1.0):
     return [
         scale / np.sqrt(2.0)

@@ -305,6 +305,12 @@ class TestQfi:
     def test_bad_input_spec(self, dep_file):
         assert main(["qfi", dep_file, "--epsilon", "0.1", "--input", "x"]) == 3
 
+    @pytest.mark.parametrize("spec", ["nan,0,0", "0,0,inf"])
+    def test_non_finite_bloch_input_is_named(self, dep_file, capsys, spec):
+        assert main(["qfi", dep_file, "--epsilon", "0.05", "--input", spec]) == 1
+        err = capsys.readouterr().err
+        assert err == "validation error: Bloch vector has a NaN or infinite component\n"
+
 
 class TestSweep:
     def test_header_and_convergence(self, dep_file, tmp_path, capsys):

@@ -12,6 +12,7 @@ from qest.linalg import (
     SIGMA_Y,
     SIGMA_Z,
     bloch_to_density,
+    check_bloch,
     check_density,
     dagger,
     density_to_bloch,
@@ -28,7 +29,7 @@ from qest.linalg import (
 )
 from qest.lownoise import noise_geometry
 
-from conftest import random_density, random_hermitian
+from conftest import random_density, random_hermitian, random_unitary
 
 
 @st.composite
@@ -107,11 +108,6 @@ class TestHermitianEig:
             hermitian_eig(SIGMA_X)
 
 
-def _random_unitary(rng, n):
-    q, r = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
-    return q * (np.diag(r) / np.abs(np.diag(r)))
-
-
 def _check_eigensystem(m, w, v):
     """Ascending eigenvalues equal to eigvalsh's, unitary V, m = V diag(w) V^dag,
     and each column's largest-magnitude component real and positive (with
@@ -143,7 +139,7 @@ class TestHermitianEigKernel:
     )
     def test_exactly_degenerate_spectra(self, rng, spectrum):
         n = len(spectrum)
-        us = np.stack([_random_unitary(rng, n) for _ in range(50)])
+        us = np.stack([random_unitary(rng, n) for _ in range(50)])
         m = (us * np.asarray(spectrum)[None, None, :]) @ dagger(us)
         m = 0.5 * (m + dagger(m))
         w, v = hermitian_eig(m)
@@ -275,6 +271,14 @@ class TestBloch:
     def test_rejects_long_vector(self):
         with pytest.raises(ValidationError):
             bloch_to_density([1.0, 0.5, 0.0])
+
+    @pytest.mark.parametrize(
+        "bad", [[np.nan, 0.0, 0.0], [0.0, np.inf, 0.0], [[0.0, 0.0, 0.5], [0.0, 0.0, np.nan]]]
+    )
+    def test_rejects_non_finite_components(self, bad):
+        # a NaN norm is not greater than 1, so a norm test alone lets NaN through
+        with pytest.raises(ValidationError, match="Bloch vector has a NaN or infinite component"):
+            check_bloch(bad)
 
     def test_batched(self, rng):
         xs = fibonacci_sphere(10)

@@ -3,8 +3,9 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
-from qest import lownoise
+from qest import linalg, lownoise
 from qest.catalog import depolarizing, gad, random_low_noise
 from qest.errors import (
     DegenerateChannelError,
@@ -39,7 +40,7 @@ from qest.lownoise import (
     quadratic_form,
 )
 
-from conftest import random_density, random_noise_ops
+from conftest import random_density, random_noise_ops, random_unitary
 
 
 def ops_from_pauli_rows(mu):
@@ -191,6 +192,14 @@ class TestMinQuadraticOnSphere:
         with pytest.raises(ValidationError):
             min_quadratic_on_sphere(np.arange(9.0).reshape(3, 3), np.zeros(3))
 
+    @pytest.mark.parametrize("h_entry, k_entry", [(1.0, np.nan), (np.inf, 0.0), (np.nan, 0.0)])
+    def test_rejects_non_finite_inputs(self, h_entry, k_entry):
+        # a NaN k used to reach the 6x6 eigvals and leak numpy's LinAlgError
+        h_mat = np.eye(3)
+        h_mat[0, 0] = h_entry
+        with pytest.raises(ValidationError, match="finite"):
+            min_quadratic_on_sphere(h_mat, np.array([k_entry, 0.0, 0.0]))
+
 
 class TestEnhancementFactor:
     def test_depolarizing_attains_bound(self):
@@ -304,6 +313,29 @@ class TestEnhancementFactor:
         assert len(calls) == 1
 
 
+@pytest.mark.parametrize("method", [METHOD_DIRECT, METHOD_BOTH, METHOD_CLOSED_FORM])
+def test_one_real_eigh_and_one_pencil_eigvals(monkeypatch, method):
+    # every path works in the eigenbasis of one real 3x3 eigh; the complex,
+    # phase-fixed hermitian_eig and a linear solve for H^-1 J are not used
+    ms = random_low_noise(1, num_m=3).noise_ops
+    calls = []
+
+    def counted(name):
+        original = getattr(np.linalg, name)
+
+        def call(a, *args, **kwargs):
+            calls.append((name, a.shape, a.dtype))
+            return original(a, *args, **kwargs)
+        return call
+
+    for name in ("eigh", "eigvals", "solve"):
+        monkeypatch.setattr(np.linalg, name, counted(name))
+    monkeypatch.setattr(linalg, "hermitian_eig", None)
+    report = enhancement_factor(ms, method=method)
+    assert report.regime == REGIME_INSIDE_BALL
+    assert calls == [("eigh", (3, 3), np.float64), ("eigvals", (6, 6), np.float64)]
+
+
 class TestAttainability:
     """The closed forms of eta near the 3/2 bound, which is attained only for
     g proportional to the identity; the OUTSIDE_BALL case, eta = 1, is
@@ -360,10 +392,12 @@ class TestScaleInvariance:
         assert report.regime == REGIME_J_ZERO
         assert abs(report.eta - 1.0) <= 1e-9
 
-    @pytest.mark.parametrize("scale", [1e-8, 1e-4, 1e4, 1e8])
+    @pytest.mark.parametrize("scale", [1e-300, 1e-170, 1e-150, 1e-8, 1e-4, 1e4, 1e8, 1e150])
     def test_eta_and_regime_ignore_operator_scale(self, scale):
         # C04 channels; seeds 0-5 at 1e-8 and seeds 8 and 14 at 1e-4 change eta
-        # or regime under any threshold that is not relative to tr H
+        # or regime under any threshold that is not relative to tr H, and at
+        # 1e-170 the Gram entries underflow unless the operators are rescaled
+        # first.  Below 1e-162 the leading coefficients underflow to 0.
         for seed in range(15):
             ms = random_low_noise(seed, num_m=1 + seed % 6).noise_ops
             plain = enhancement_factor(ms)
@@ -373,6 +407,60 @@ class TestScaleInvariance:
             np.testing.assert_allclose(
                 scaled.leading_pure, scale**2 * plain.leading_pure, rtol=1e-12
             )
+
+
+    @pytest.mark.parametrize("entry", [np.nan, np.inf, complex(0.0, -np.inf)])
+    def test_refuses_non_finite_operators(self, entry):
+        ms = [np.array(m) for m in random_low_noise(2, num_m=3).noise_ops]
+        ms[1][0, 1] = entry
+        with pytest.raises(ValidationError, match="NaN or infinite"):
+            enhancement_factor(ms)
+
+
+def _so3(u):
+    """The rotation ``R_ab = tr(sigma_a U sigma_b U^dag)/2`` of Bloch vectors under U."""
+    return np.array([[0.5 * np.trace(a @ u @ b @ u.conj().T).real for b in PAULIS] for a in PAULIS])
+
+
+class TestInvariances:
+    """eta and its regime do not change under the symmetries of the leading
+    coefficient; x_sphere and x_ball follow a unitary conjugation by its
+    rotation.  Random operators, examples derandomized by the qest profile."""
+
+    @staticmethod
+    def check(plain, other, rotation=np.eye(3)):
+        assert other.regime == plain.regime
+        assert abs(other.eta - plain.eta) <= 1e-12
+        np.testing.assert_allclose(other.x_sphere, rotation @ plain.x_sphere, rtol=0, atol=1e-11)
+        np.testing.assert_allclose(other.x_ball, rotation @ plain.x_ball, rtol=0, atol=1e-11)
+
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 6))
+    def test_unitary_conjugation(self, seed, num_m):
+        rng = np.random.default_rng(seed)
+        ms = random_noise_ops(rng, num_m)
+        u = random_unitary(rng, 2)
+        conj = enhancement_factor([u @ m @ u.conj().T for m in ms])
+        self.check(enhancement_factor(ms), conj, _so3(u))
+
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 6), st.complex_numbers(max_magnitude=3.0))
+    def test_identity_shift(self, seed, num_m, c):
+        ms = random_noise_ops(np.random.default_rng(seed), num_m)
+        self.check(enhancement_factor(ms), enhancement_factor([m + c * ID2 for m in ms]))
+
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 6))
+    def test_operator_remixing(self, seed, num_m):
+        rng = np.random.default_rng(seed)
+        ms = random_noise_ops(rng, num_m)
+        mixed = np.einsum("ab,bij->aij", random_unitary(rng, num_m), np.array(ms))
+        self.check(enhancement_factor(ms), enhancement_factor(list(mixed)))
+
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 6), st.floats(-8.0, 8.0))
+    def test_scaling(self, seed, num_m, log_scale):
+        ms = random_noise_ops(np.random.default_rng(seed), num_m)
+        scale = 10.0**log_scale
+        plain, scaled = enhancement_factor(ms), enhancement_factor([scale * m for m in ms])
+        self.check(plain, scaled)
+        np.testing.assert_allclose(scaled.leading_pure, scale**2 * plain.leading_pure, rtol=1e-12)
 
 
 class TestBruteForce:
