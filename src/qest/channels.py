@@ -18,6 +18,7 @@ interval and checked against ``TP_TOL``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -74,24 +75,19 @@ def identity_channel(dim: int) -> KrausChannel:
     return KrausChannel(dim=dim, kraus=(np.eye(dim, dtype=complex),))
 
 
-def apply_transfer(transfer: np.ndarray, dim: int, rho: np.ndarray) -> np.ndarray:
-    """Apply a ``(d*d, d*d)`` transfer matrix to a state or a stack ``(..., d, d)``.
+def apply_channel(ch: KrausChannel, rho: np.ndarray) -> np.ndarray:
+    """Apply ``sum_k K rho K^dag`` to a state or a stack ``(..., d, d)``.
 
     The linear map takes the row-major ``vec(rho)`` to ``transfer @ vec(rho)``;
     a whole stack is one matrix product.
     """
     rho = np.asarray(rho, dtype=complex)
-    if rho.shape[-2:] != (dim, dim):
+    if rho.shape[-2:] != (ch.dim, ch.dim):
         raise ValidationError(
-            f"state shape {rho.shape} does not match channel dimension {dim}"
+            f"state shape {rho.shape} does not match channel dimension {ch.dim}"
         )
-    flat = rho.reshape(rho.shape[:-2] + (dim * dim,))
-    return (flat @ transfer.T).reshape(rho.shape)
-
-
-def apply_channel(ch: KrausChannel, rho: np.ndarray) -> np.ndarray:
-    """Apply ``sum_k K rho K^dag``; accepts a stack of states ``(..., d, d)``."""
-    return apply_transfer(ch.transfer, ch.dim, rho)
+    flat = rho.reshape(rho.shape[:-2] + (ch.dim * ch.dim,))
+    return (flat @ ch.transfer.T).reshape(rho.shape)
 
 
 def validate_trace_preserving(ch: KrausChannel) -> float:
@@ -193,42 +189,51 @@ def as_noise_ops(noise_ops, dim: int | None = None) -> tuple[list[np.ndarray], i
     return ms, dim
 
 
+def noise_unit(ms) -> float:
+    """``2^k`` with the largest entry of the operators in ``[2^(k-1), 2^k)``
+    (k clipped to the normal range), for exact rescaling; refuses NaN and inf."""
+    peak = float(np.abs(np.asarray(ms)).max())
+    if not math.isfinite(peak):
+        raise ValidationError("noise operators have a NaN or infinite entry")
+    return math.ldexp(1.0, min(max(math.frexp(peak)[1], -1021), 1023))
+
+
 def from_noise_operators(noise_ops, name: str = "low_noise") -> LowNoiseChannel:
     """Build the canonical low-noise channel determined by its noise operators.
 
     The single-B generator ``B(eps) = sqrt(I - eps * sum_alpha M^dag M)``
     (principal square root) is trace preserving exactly for every eps below
-    ``1/lambda_max`` of the noise sum; it gives kappa = (1,) and a first-order
-    correction of half the noise sum.  The validity interval is capped at 90%
-    of the square-root domain.
+    ``1/lambda_max`` of the noise sum, and valid up to 90% of that; it gives
+    kappa = (1,) and half the noise sum as first-order correction.  The sum is
+    formed in units of :func:`noise_unit` squared; one that overflows is refused.
     """
     ms, dim = as_noise_ops(noise_ops)
-    s = np.zeros((dim, dim), dtype=complex)
-    with np.errstate(over="ignore", invalid="ignore"):  # hermitian_eig refuses inf and NaN
-        for m in ms:
-            s += dagger(m) @ m
+    unit = noise_unit(ms)
+    s = sum(dagger(m / unit) @ (m / unit) for m in ms)  # the noise sum / unit^2
     w, v = hermitian_eig(s)
     lam_max = float(np.max(w))
     if lam_max <= 0.0:
         raise ValidationError("all noise operators vanish; the family is trivial")
+    if math.isinf(lam_max * unit * unit):
+        raise ValidationError("the noise sum overflows; scale the noise operators down")
 
     def generate(eps: float):
-        diag = 1.0 - eps * w
+        diag = 1.0 - eps * unit * unit * w
         if np.min(diag) < 0.0:
             raise ParameterRangeError(f"eps = {eps} beyond the square-root domain")
         b = (v * np.sqrt(diag)) @ dagger(v)
         return [b], list(ms)
 
     def b_derivative(eps: float):
-        return [(v * (-0.5 * w / np.sqrt(1.0 - eps * w))) @ dagger(v)]
+        return [(v * (-0.5 * w * unit * unit / np.sqrt(1.0 - eps * unit * unit * w))) @ dagger(v)]
 
     return LowNoiseChannel(
         dim=dim,
         kappas=(1.0 + 0.0j,),
-        first_order=(0.5 * s,),
+        first_order=(0.5 * s * unit * unit,),
         noise_ops=ms,
         generator=generate,
-        validity=(0.0, min(0.9 * (1.0 / lam_max), np.finfo(float).max)),  # 1/lam_max overflows if subnormal
+        validity=(0.0, min(0.9 * (1.0 / lam_max / unit / unit), np.finfo(float).max)),
         name=name,
         b_derivative=b_derivative,
     )

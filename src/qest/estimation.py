@@ -9,9 +9,11 @@ finite-difference rule, at step :func:`default_fd_step` (at a fixed step in
 :func:`qest.unitary.log_hamiltonian`).  Neither step nor the kernel tolerance
 is an argument.
 
-The QFI itself never builds L: for qubit outputs it is closed form in the
-Bloch vectors of rho and d rho (no eigensolve), for larger outputs it is the
-sum above over one batched eigensolve.  Only :func:`sld` and
+Every QFI of a channel family, in :meth:`QfiEvaluator.qfi`, its ``result``
+and both search objectives, goes through one kernel that never builds L: for
+qubit outputs it is closed form in the Pauli coordinates of rho and d rho (no
+eigensolve; Zhong et al., PRA 87, 022337, 2013), for larger outputs the sum
+above over one batched eigensolve.  Only :func:`sld` and
 :meth:`QfiEvaluator.result` build the SLD matrix.
 
 Input-state maximization is a deterministic search in Bloch coordinates:
@@ -28,20 +30,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import ChannelFamily, apply_transfer, transfer_matrix
+from .channels import ChannelFamily, transfer_matrix
 from .errors import DegenerateFamilyError, ParameterRangeError, ValidationError
 from .linalg import (
-    PAULIS,
     bloch_angles,
     bloch_state,
-    check_bloch,
+    bloch_to_density,
     check_hermitian,
     dagger,
-    density_to_bloch,
     eigh,
     fibonacci_sphere,
     hermitian_eig,
     pattern_search,
+    pauli_coords,
     pure_to_density,
     purification,
     to_ball,
@@ -104,12 +105,13 @@ def _sld_from_eigensystem(p, v, drho):
     return 0.5 * (sld_mat + dagger(sld_mat))
 
 
-def _qubit_qfi(s, r, t, dr, kernel_tol):
-    """Closed-form qubit QFI, batched: with ``rho = (s I + r.sigma)/2``,
-    ``drho = (t I + dr.sigma)/2`` and ``a = r.dr/|r|`` (0 at r = 0), the
-    eigenvalues are ``(s -+ |r|)/2`` and the QFI is
+def _qubit_qfi(c, dc, kernel_tol):
+    """Closed-form qubit QFI from the real Pauli coordinates ``c = (s, r)`` of
+    ``rho = (s I + r.sigma)/2`` and ``dc = (t, dr)`` of d rho, batched: with
+    ``a = r.dr/|r|`` (0 at r = 0), the eigenvalues are ``(s -+ |r|)/2`` and the QFI is
     ``(t - a)^2/2 / (s - |r|) + (t + a)^2/2 / (s + |r|) + (|dr|^2 - a^2) / s``,
     each term kept only where its denominator exceeds ``kernel_tol``."""
+    s, r, t, dr = c[..., 0], c[..., 1:], dc[..., 0], dc[..., 1:]
     nr = np.sqrt(np.einsum("...i,...i->...", r, r))
     a = np.einsum("...i,...i->...", r, dr)
     a = np.divide(a, nr, out=np.zeros_like(nr), where=nr > 0.0)
@@ -119,17 +121,10 @@ def _qubit_qfi(s, r, t, dr, kernel_tol):
     return np.divide(num, den, out=np.zeros_like(num), where=den > kernel_tol).sum(axis=0)
 
 
-def _qfi_values(rho, drho, kernel_tol, eig=None):
-    """QFI ``sum_ij 2 |d_ij|^2 / (p_i + p_j)`` over ``p_i + p_j > kernel_tol``
-    of a batch ``(..., d, d)``, without the SLD: :func:`_qubit_qfi` at d = 2,
-    else over the eigensystem ``eig = (p, v)`` of rho, solved if not given."""
-    if rho.shape[-1] == 2:
-        check_hermitian(rho, tol=1e-8)
-        s, t = (np.real(m[..., 0, 0] + m[..., 1, 1]) for m in (rho, drho))
-        return _qubit_qfi(s, density_to_bloch(rho), t, density_to_bloch(drho), kernel_tol)
-    p, v = eig or hermitian_eig(rho, tol=1e-8)
-    d = dagger(v) @ drho @ v
-    return np.einsum("...ij,...ij->...", _sld_weights(p, kernel_tol), d.real ** 2 + d.imag ** 2)
+def _hermitian_parts(out):
+    """Hermitian parts of outputs ``(..., 2, d, d)``, as ``(rho, d rho)``."""
+    out = 0.5 * (out + dagger(out))
+    return out[..., 0, :, :], out[..., 1, :, :]
 
 
 def sld(rho: np.ndarray, drho: np.ndarray) -> np.ndarray:
@@ -157,12 +152,15 @@ def qfi(rho: np.ndarray, sld_op: np.ndarray) -> float:
 class QfiEvaluator:
     """Pre-built channel evaluations for one (family, theta) point.
 
-    It keeps two transfer matrices (:class:`~qest.channels.KrausChannel`),
-    ``S(theta)`` from one ``family.evaluate`` and ``dS = sum_k dK (x) conj(K) +
-    K (x) conj(dK)`` from the Kraus derivatives or, if the family has none, the
-    :func:`richardson_derivative` of four more builds; ``theta +- h`` (h =
+    It is built from the transfer matrices (:class:`~qest.channels.KrausChannel`)
+    ``S(theta)``, from one ``family.evaluate``, and ``dS = sum_k dK (x) conj(K)
+    + K (x) conj(dK)``, from the Kraus derivatives or, if the family has none,
+    the :func:`richardson_derivative` of four more builds; ``theta +- h`` (h =
     :func:`default_fd_step`) must be valid.  Both must have finite Hermitian
-    Choi matrices (preserve Hermiticity).  Inputs cost two matrix products.
+    Choi matrices, and are held once, as one map on the row-major ``vec`` of
+    the input state, which :meth:`_kernel` applies.  :meth:`qfi` and
+    :meth:`result` check their inputs (shape, then finite and Hermitian to
+    1e-8); the kernel checks nothing.
     """
 
     def __init__(self, family: ChannelFamily, theta: float):
@@ -175,34 +173,63 @@ class QfiEvaluator:
         self.family = family
         self.theta = float(theta)
         ch = family.evaluate(theta)
-        self._s0 = ch.transfer
         if family.derivative is None:
-            self._ds = richardson_derivative(lambda t: family.evaluate(t).transfer, theta, h)
+            ds = richardson_derivative(lambda t: family.evaluate(t).transfer, theta, h)
         else:
             for t in (theta + h, theta - h):
                 family.check_range(t)
             k, dk = np.stack(ch.kraus), np.asarray(family.derivative(theta), dtype=complex)
             if dk.shape != k.shape:
                 raise ValidationError(f"Kraus derivative shape {dk.shape} != Kraus shape {k.shape}")
-            self._ds = transfer_matrix(np.concatenate([dk, k]), np.concatenate([k, dk]))
-        choi = np.stack([self._s0, self._ds]).reshape((2,) + (family.dim,) * 4).transpose(0, 1, 3, 2, 4)
-        check_hermitian(choi.reshape(2, len(self._s0), -1), what="Choi matrix of S or dS")
+            ds = transfer_matrix(np.concatenate([dk, k]), np.concatenate([k, dk]))
+        sd = np.stack([ch.transfer, ds])
+        choi = sd.reshape((2,) + (family.dim,) * 4).transpose(0, 1, 3, 2, 4)
+        check_hermitian(choi.reshape(2, len(ds), -1), what="Choi matrix of S or dS")
+        self._map = sd.reshape(2 * len(ds), -1).T  # vec(rho) -> (vec(S rho), vec(dS rho))
+
+    def _vec(self, rho_in: np.ndarray) -> np.ndarray:
+        """Row-major ``vec`` of input states ``(..., d, d)``, after the input check."""
+        rho_in = np.asarray(rho_in, dtype=complex)
+        dim = self.family.dim
+        if rho_in.shape[-2:] != (dim, dim):
+            raise ValidationError(
+                f"state shape {rho_in.shape} does not match channel dimension {dim}"
+            )
+        check_hermitian(rho_in, tol=1e-8, what="input state")
+        return rho_in.reshape(rho_in.shape[:-2] + (dim * dim,))
+
+    def _outputs(self, vecs: np.ndarray) -> np.ndarray:
+        """The map's outputs rho and d rho, stacked on axis -3, at a stack of input ``vec``."""
+        return (vecs @ self._map).reshape(vecs.shape[:-1] + (2,) + (self.family.dim,) * 2)
+
+    def _kernel(self, vecs: np.ndarray):
+        """QFI ``sum_ij 2 |d_ij|^2 / (p_i + p_j)`` over ``p_i + p_j > KERNEL_TOL``
+        at a stack of input ``vec``, unchecked and without the SLD, with the
+        map's outputs and, above dim 2, the eigensystem of rho it used: at dim 2
+        :func:`_qubit_qfi` of their real Pauli coordinates, which are those of
+        their Hermitian parts, else one ``eigh`` of the Hermitian parts."""
+        out = self._outputs(vecs)
+        if self.family.dim == 2:
+            c = pauli_coords(out).real
+            return _qubit_qfi(c[..., 0, :], c[..., 1, :], KERNEL_TOL), out, None
+        rho, drho = _hermitian_parts(out)
+        p, v = eig = eigh(rho)
+        d = dagger(v) @ drho @ v
+        val = np.einsum("...ij,...ij->...", _sld_weights(p, KERNEL_TOL), d.real ** 2 + d.imag ** 2)
+        return val, out, eig
 
     def output_and_derivative(self, rho_in: np.ndarray):
-        dim = self.family.dim
-        drho = apply_transfer(self._ds, dim, rho_in)
-        drho = 0.5 * (drho + dagger(drho))
-        return apply_transfer(self._s0, dim, rho_in), drho
+        return _hermitian_parts(self._outputs(self._vec(rho_in)))
 
     def qfi(self, rho_in: np.ndarray) -> np.ndarray:
         """QFI of the output family for a batch of input states ``(..., d, d)``."""
-        return _qfi_values(*self.output_and_derivative(rho_in), KERNEL_TOL)
+        return self._kernel(self._vec(rho_in))[0]
 
     def result(self, rho_in: np.ndarray) -> EstimationResult:
-        rho, drho = self.output_and_derivative(rho_in)
-        eig = hermitian_eig(rho, tol=1e-8)
-        val = float(_qfi_values(rho, drho, KERNEL_TOL, eig))
-        sld_mat = _sld_from_eigensystem(*eig, drho)
+        val, out, eig = self._kernel(self._vec(rho_in))
+        rho, drho = _hermitian_parts(out)
+        val = float(val)
+        sld_mat = _sld_from_eigensystem(*(eig or eigh(rho)), drho)
         estimator = _estimator(sld_mat, val, self.theta) if val > DEGENERATE_QFI_TOL else None
         return EstimationResult(
             theta=self.theta,
@@ -212,34 +239,6 @@ class QfiEvaluator:
             qfi=0.0 if -1e-12 < val < 0.0 else val,
             optimal_estimator=estimator,
         )
-
-
-def _poll_kernel(ev: QfiEvaluator):
-    """``ev.qfi`` of the search's inputs at a stack of Bloch points: pure state
-    x at dim 2, by :func:`_qubit_qfi` of ``R (1, x)`` with R the real
-    Pauli-transfer matrices of S and dS; purification of the reduced state y
-    at dim 4, by one product with S and dS and one ``eigh``.  It skips the
-    per-call Hermiticity checks: the evaluator has checked S and dS."""
-    dim = ev.family.dim
-    sd = np.stack([ev._s0, ev._ds])
-    if dim == 2:
-        paulis = np.stack([np.eye(2), *PAULIS]).reshape(4, 4).T  # columns vec(sigma_mu)
-        rr = np.real(dagger(paulis) @ sd @ paulis).reshape(8, 4) / 2.0
-
-        def f(xs):
-            out = check_bloch(xs) @ rr[:, 1:].T + rr[:, 0]
-            return _qubit_qfi(out[..., 0], out[..., 1:4], out[..., 4], out[..., 5:], KERNEL_TOL)
-
-        return f
-    stacked = sd.reshape(2 * dim * dim, dim * dim).T
-
-    def f(ys):
-        rho_in = pure_to_density(purification(ys)).reshape(-1, dim * dim)
-        out = (rho_in @ stacked).reshape(-1, 2, dim, dim)
-        p, v = eigh(out[:, 0])
-        return _qfi_values(out[:, 0], 0.5 * (out[:, 1] + dagger(out[:, 1])), KERNEL_TOL, (p, v))
-
-    return f
 
 
 def channel_qfi(family: ChannelFamily, rho_in: np.ndarray, theta: float) -> EstimationResult:
@@ -304,10 +303,9 @@ def maximize_qfi_pure(
     if family.dim != dim:
         raise ValidationError(f"family dimension {family.dim} != requested dim {dim}")
     ev = QfiEvaluator(family, theta)
-    f = _poll_kernel(ev)
 
     if dim == 2:
-        grid, project = fibonacci_sphere(cfg.sphere_points), to_sphere
+        grid, project, inputs = fibonacci_sphere(cfg.sphere_points), to_sphere, bloch_to_density
 
         def state(x):
             return bloch_state(*bloch_angles(x))
@@ -316,6 +314,13 @@ def maximize_qfi_pure(
         radii = np.cos(np.linspace(0.0, np.pi, n)[: (n + 1) // 2])
         grid = np.concatenate([r * fibonacci_sphere(n * n if r > 1e-9 else 1) for r in radii])
         project, state = to_ball, purification
+
+        def inputs(ys):  # the canonical purifications
+            return pure_to_density(purification(ys))
+
+    def f(xs):
+        rho_in = inputs(xs)
+        return ev._kernel(rho_in.reshape(rho_in.shape[:-2] + (dim * dim,)))[0]
 
     x = pattern_search(f, grid, project)[0] if cfg.refine else grid[int(np.argmax(f(grid)))]
     psi = state(x)

@@ -5,6 +5,11 @@ Most routines accept a stack of matrices (shape ``(..., n, n)``) and broadcast
 over the leading axes; the batched form is what makes grid searches over
 thousands of input states affordable.
 
+The qubit Pauli basis is written once, as :data:`PAULI_BASIS`, whose column mu
+is the row-major ``vec(sigma_mu)`` (``sigma_0 = I``); :func:`pauli_coords`
+gives the coordinates ``tr(sigma_mu m)``, so ``m = sum_mu c_mu sigma_mu / 2``,
+and the Bloch vector of a qubit state is ``c[1:]`` at ``c[0] = 1``.
+
 The eigensolver is LAPACK ``eigh`` (through numpy), batched over stacks.
 :func:`hermitian_eig` solves the Hermitian part of its input, with ascending
 eigenvalues and every eigenvector's phase fixed by one convention, so results
@@ -23,6 +28,8 @@ SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
 SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 PAULIS = (SIGMA_X, SIGMA_Y, SIGMA_Z)
 ID2 = np.eye(2, dtype=complex)
+#: column mu is the row-major vec(sigma_mu), mu = 0..3, sigma_0 = I
+PAULI_BASIS = np.stack([ID2, *PAULIS]).reshape(4, 4).T
 
 #: default tolerance for "is this matrix Hermitian" checks (max-abs deviation)
 HERMITIAN_TOL = 1e-9
@@ -41,7 +48,7 @@ def check_hermitian(m: np.ndarray, tol: float = HERMITIAN_TOL, what: str = "matr
     """Raise ValidationError unless ``m`` is finite and equals its conjugate
     transpose within ``tol``."""
     m = np.asarray(m)
-    if m.shape[-1] != m.shape[-2]:
+    if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
         raise ValidationError(f"{what} must be square, got shape {m.shape}")
     # a NaN or infinite entry makes the deviation NaN or infinite too
     with np.errstate(invalid="ignore"):
@@ -73,8 +80,6 @@ def hermitian_eig(m: np.ndarray, tol: float = HERMITIAN_TOL) -> tuple[np.ndarray
         output is reproducible.
     """
     a = np.asarray(m, dtype=complex)
-    if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
-        raise ValidationError(f"expected a square matrix, got shape {a.shape}")
     check_hermitian(a, tol=tol)
     w, v = eigh(0.5 * (a + dagger(a)))
 
@@ -119,20 +124,24 @@ def partial_trace(m: np.ndarray, dim_s: int, dim_a: int, keep: str = "S") -> np.
     raise ValidationError(f'keep must be "S" or "A", got {keep!r}')
 
 
+def pauli_coords(m: np.ndarray) -> np.ndarray:
+    """Coordinates ``tr(sigma_mu m)``, mu = 0..3, of 2x2 matrices, batched."""
+    m = np.asarray(m, dtype=complex)
+    if m.shape[-2:] != (2, 2):
+        raise ValidationError(f"expected a 2x2 matrix, got shape {m.shape}")
+    # one 2-D product: a batched matmul over the leading axes is several times slower
+    return (m.reshape(-1, 4) @ PAULI_BASIS.conj()).reshape(m.shape[:-2] + (4,))
+
+
 def pauli_decompose(m: np.ndarray) -> tuple[complex, complex, complex, complex]:
     """Coefficients (m0, m1, m2, m3) with ``m = m0 I + m1 sx + m2 sy + m3 sz``.
 
     The expansion is unique for any 2x2 complex matrix; coefficients are
     m0 = tr(m)/2 and ma = tr(sigma_a m)/2.
     """
-    m = np.asarray(m, dtype=complex)
-    if m.shape != (2, 2):
-        raise ValidationError(f"pauli_decompose needs a 2x2 matrix, got shape {m.shape}")
-    m0 = 0.5 * (m[0, 0] + m[1, 1])
-    m1 = 0.5 * (m[0, 1] + m[1, 0])
-    m2 = 0.5 * (1j * m[0, 1] - 1j * m[1, 0])
-    m3 = 0.5 * (m[0, 0] - m[1, 1])
-    return complex(m0), complex(m1), complex(m2), complex(m3)
+    if np.shape(m) != (2, 2):
+        raise ValidationError(f"pauli_decompose needs a 2x2 matrix, got shape {np.shape(m)}")
+    return tuple(complex(c) for c in pauli_coords(m) / 2.0)
 
 
 def check_bloch(x: np.ndarray) -> np.ndarray:
@@ -152,29 +161,14 @@ def check_bloch(x: np.ndarray) -> np.ndarray:
 def bloch_to_density(x: np.ndarray) -> np.ndarray:
     """Density matrix ``(I + x . sigma)/2`` for Bloch vectors of norm <= 1 + 1e-9, batched."""
     x = check_bloch(x)
-    eye = np.broadcast_to(ID2, x.shape[:-1] + (2, 2))
-    return 0.5 * (
-        eye
-        + x[..., 0, None, None] * SIGMA_X
-        + x[..., 1, None, None] * SIGMA_Y
-        + x[..., 2, None, None] * SIGMA_Z
-    )
+    vec = x @ (PAULI_BASIS[:, 1:].T / 2.0)
+    vec += PAULI_BASIS[:, 0] / 2.0  # in place: a large batch makes one complex array
+    return vec.reshape(x.shape[:-1] + (2, 2))
 
 
 def density_to_bloch(rho: np.ndarray) -> np.ndarray:
     """Inverse of :func:`bloch_to_density`; exact round trip to working precision."""
-    rho = np.asarray(rho, dtype=complex)
-    if rho.shape[-2:] != (2, 2):
-        raise ValidationError(f"expected a 2x2 density matrix, got shape {rho.shape}")
-    x = np.stack(
-        [
-            np.real(rho[..., 0, 1] + rho[..., 1, 0]),
-            np.real(1j * rho[..., 0, 1] - 1j * rho[..., 1, 0]),
-            np.real(rho[..., 0, 0] - rho[..., 1, 1]),
-        ],
-        axis=-1,
-    )
-    return x
+    return pauli_coords(rho)[..., 1:].real
 
 
 def bloch_angles(x: np.ndarray) -> tuple[float, float]:

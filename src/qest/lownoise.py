@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import as_noise_ops
+from .channels import as_noise_ops, noise_unit
 from .errors import (
     DegenerateChannelError,
     SingularGeometryError,
@@ -36,10 +36,12 @@ from .linalg import (
     bloch_angles,
     bloch_state,
     bloch_to_density,
+    check_hermitian,
     dagger,
     eigh,
     fibonacci_sphere,
     pattern_search,
+    pauli_coords,
     purification,
     to_ball,
     to_sphere,
@@ -58,8 +60,6 @@ METHOD_BOTH = "BOTH"
 #: below which eigenvalues count as equal in the sphere minimizer
 SINGULAR_REL_TOL = 1e-12
 
-#: ``mu_a = tr(sigma_a M)/2`` from the row-major entries of a 2x2 matrix M
-_PAULI_ROWS = 0.5 * np.array([[0, 1, 1, 0], [0, 1j, -1j, 0], [1, 0, 0, -1]])
 #: the -I block of the 6x6 multiplier pencil of _sphere_min
 _PENCIL = np.block([[np.zeros((3, 3)), -np.eye(3)], [np.zeros((3, 6))]])
 
@@ -138,10 +138,10 @@ def _qubit_stack(noise_ops) -> np.ndarray:
 
 
 def noise_geometry(noise_ops) -> NoiseGeometry:
-    """Pauli reduction (mu, g, H, J) of qubit noise operators: ``mu`` is one
-    product of a constant (3, 4) matrix with the stacked operators."""
+    """Pauli reduction (mu, g, H, J) of qubit noise operators: ``mu`` is
+    ``tr(sigma_a M)/2``, from one batched :func:`~qest.linalg.pauli_coords`."""
     stack = _qubit_stack(noise_ops)
-    mu = _PAULI_ROWS @ stack.reshape(-1, 4).T
+    mu = pauli_coords(stack)[:, 1:].T / 2.0
     g = np.conj(mu) @ mu.T
     h = 0.5 * (g.real + g.real.T)
     jvec = np.array([g[1, 2].imag, g[2, 0].imag, g[0, 1].imag])
@@ -209,10 +209,9 @@ def min_quadratic_on_sphere(h_mat: np.ndarray, k: np.ndarray) -> tuple[float, np
     k = np.asarray(k, dtype=float)
     if h_mat.shape != (3, 3) or k.shape != (3,):
         raise ValidationError("expected a 3x3 matrix and a 3-vector")
-    if not (np.isfinite(h_mat).all() and np.isfinite(k).all()):
-        raise ValidationError("H and k must have finite entries")
-    if np.max(np.abs(h_mat - h_mat.T)) > 1e-9:
-        raise ValidationError("H must be symmetric")
+    check_hermitian(h_mat, what="H")
+    if not np.isfinite(k).all():
+        raise ValidationError("k must have finite entries")
     w, v = eigh(0.5 * (h_mat + h_mat.T))
     if float(w[0]) < -1e-9 * max(1.0, float(w[-1])):
         raise ValidationError(f"H must be positive semidefinite, min eigenvalue {float(w[0]):.3e}")
@@ -283,11 +282,8 @@ def enhancement_factor(noise_ops, method: str = METHOD_DIRECT) -> EnhancementRep
     if method not in (METHOD_CLOSED_FORM, METHOD_DIRECT, METHOD_BOTH):
         raise ValidationError(f"unknown method {method!r}")
     stack = _qubit_stack(noise_ops)
-    peak = float(np.abs(stack).max())
-    if not math.isfinite(peak):
-        raise ValidationError("noise operators have a NaN or infinite entry")
-    shift = min(max(math.frexp(peak)[1], -1021), 1023)  # peak 2^-shift in [1/2, 1)
-    stack = stack * math.ldexp(1.0, -shift)
+    unit = noise_unit(stack)
+    stack = stack / unit
     geom = noise_geometry(stack)
     tr_h = float(geom.h.trace())
     if tr_h <= 1e-12 * float(np.vdot(stack, stack).real):
@@ -317,9 +313,9 @@ def enhancement_factor(noise_ops, method: str = METHOD_DIRECT) -> EnhancementRep
             agreement = abs(eta - eta_cf)
             if regime != REGIME_OUTSIDE_BALL:
                 x_ball = x_ball_cf
-    unit = tr_h * math.ldexp(1.0, shift) * math.ldexp(1.0, shift)  # exact, or inf or 0
+    scale = tr_h * unit * unit  # exact, or inf or 0
     return EnhancementReport(
-        eta=eta, regime=regime, leading_pure=unit * pure, leading_extended=unit * extended,
+        eta=eta, regime=regime, leading_pure=scale * pure, leading_extended=scale * extended,
         x_sphere=x_sphere, x_ball=x_ball, method=method, agreement=agreement,
     )
 

@@ -239,8 +239,8 @@ class TestKrausDerivative:
                 exact, build_only = extend_family(exact, dim_a), extend_family(build_only, dim_a)
             assert exact.derivative is not None and build_only.derivative is None
             eps = 0.2 * ln.validity[1]
-            np.testing.assert_allclose(QfiEvaluator(exact, eps)._ds,
-                                       QfiEvaluator(build_only, eps)._ds, rtol=0, atol=1e-9)
+            np.testing.assert_allclose(QfiEvaluator(exact, eps)._map,
+                                       QfiEvaluator(build_only, eps)._map, rtol=0, atol=1e-9)
 
 
 class TestNoiseOperatorValidation:

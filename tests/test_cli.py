@@ -393,6 +393,39 @@ class TestDemoAndRoundTrip:
             assert abs(eta_a - eta_b) < 1e-12
 
 
+class TestOperatorScale:
+    """Operators of size 1e-170 build, validate and keep their eta; a noise
+    sum that overflows is refused in one line."""
+
+    def test_tiny_demo_keeps_eta(self, tmp_path, capsys):
+        assert main(["demo", "random", "--scale", "1e-170"]) == 0
+        path = tmp_path / "scaled.json"
+        path.write_text(capsys.readouterr().out, encoding="utf-8")
+        assert main(["eta", str(path)]) == 0
+        out, err = capsys.readouterr()
+        assert err == ""
+        assert abs(json.loads(out)["eta"] - enhancement_factor(random_low_noise(42).noise_ops).eta) < 1e-12
+
+    def test_tiny_demo_validates(self, tmp_path, capsys):
+        assert main(["demo", "random", "--scale", "1e-170"]) == 0
+        path = tmp_path / "tiny.json"
+        path.write_text(capsys.readouterr().out, encoding="utf-8")
+        assert main(["validate", str(path)]) == 0
+        out, err = capsys.readouterr()
+        assert err == "" and "NaN" not in out and json.loads(out)["ok"] is True
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_overflowing_noise_sum_is_refused_in_one_line(self, tmp_path, capsys):
+        expected = "validation error: the noise sum overflows; scale the noise operators down\n"
+        assert main(["demo", "random", "--scale", "1e160"]) == 1
+        assert capsys.readouterr() == ("", expected)
+        ms = [matrix_to_json(1e160 * m) for m in random_low_noise(42).noise_ops]
+        path = write_json(tmp_path / "huge.json", {"dim": 2, "type": "low_noise", "M": ms})
+        for command in ("validate", "eta"):
+            assert main([command, path]) == 1
+            assert capsys.readouterr() == ("", expected)
+
+
 exponents = st.integers(min_value=-320, max_value=308)
 signs = st.sampled_from((0.0, 1.0, -1.0))
 

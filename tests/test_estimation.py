@@ -26,7 +26,7 @@ from qest.estimation import (
     sld,
 )
 from qest import estimation, linalg
-from qest.estimation import _qfi_values
+from qest.estimation import _qubit_qfi
 from qest.linalg import (
     ID2,
     bloch_to_density,
@@ -35,6 +35,7 @@ from qest.linalg import (
     fibonacci_sphere,
     hermitian_eig,
     partial_trace,
+    pauli_coords,
     pure_to_density,
     purification,
 )
@@ -54,6 +55,12 @@ def eigenbasis_qfi(rho, drho, kernel_tol=KERNEL_TOL):
         out.append(sum(2.0 * abs(dt[i, j]) ** 2 / (p[i] + p[j])
                        for i in range(n) for j in range(n) if p[i] + p[j] > kernel_tol))
     return np.array(out).reshape(rho.shape[:-2])
+
+
+def closed_form_qfi(rho, drho):
+    """The evaluator's qubit kernel on output matrices: the closed form in
+    their Pauli coordinates."""
+    return _qubit_qfi(pauli_coords(rho).real, pauli_coords(drho).real, KERNEL_TOL)
 
 
 def sld_based_qfi(rho, drho, kernel_tol=KERNEL_TOL):
@@ -213,11 +220,71 @@ class TestQfiEvaluator:
         with pytest.raises(ValidationError, match="derivative shape"):
             QfiEvaluator(fam, 0.5)
 
+    @pytest.mark.parametrize("dim_a", [1, 2])
+    def test_refuses_a_non_hermitian_input_naming_it(self, dim_a):
+        fam = family_from_low_noise(depolarizing())
+        ev = QfiEvaluator(extend_family(fam, dim_a) if dim_a > 1 else fam, 0.1)
+        rho = np.eye(2 * dim_a, dtype=complex) / (2 * dim_a)
+        rho[0, 1] = 1e-3
+        with pytest.raises(ValidationError, match="^input state is not Hermitian"):
+            ev.qfi(rho)
+
+    @pytest.mark.parametrize("dim_a", [1, 2])
+    def test_drops_the_anti_hermitian_part_of_an_input(self, rng, dim_a):
+        fam = family_from_low_noise(random_low_noise(6, num_m=2))
+        ev = QfiEvaluator(extend_family(fam, dim_a) if dim_a > 1 else fam, 0.1)
+        rho = random_density(rng, 2 * dim_a)
+        skew = 1e-9 * random_hermitian(rng, 2 * dim_a) * 1j
+        res = ev.result(rho + skew)
+        np.testing.assert_array_equal(res.rho, dagger(res.rho))
+        np.testing.assert_allclose(res.qfi, ev.qfi(rho), rtol=1e-12, atol=0)
+        np.testing.assert_allclose(ev.qfi(rho + skew), ev.qfi(rho), rtol=1e-12, atol=0)
+
     def test_rejects_a_state_of_the_wrong_dimension(self):
         ev = QfiEvaluator(extend_family(family_from_low_noise(depolarizing()), 2), 0.1)
         for rho in (ID2 / 2, np.eye(3, dtype=complex) / 3, np.ones(4, dtype=complex)):
             with pytest.raises(ValidationError):
                 ev.qfi(rho)
+
+
+def search_objective(monkeypatch, family, theta):
+    """The objective ``maximize_qfi_pure`` hands to ``pattern_search``; the
+    search itself is skipped."""
+    objectives = []
+
+    def spy(f, grid, project):
+        objectives.append(f)
+        return grid[0], 0.0
+
+    with monkeypatch.context() as patch:
+        patch.setattr(estimation, "pattern_search", spy)
+        maximize_qfi_pure(family, theta, family.dim, search=SearchConfig(sphere_points=8))
+    (f,) = objectives
+    return f
+
+
+def count_eigensolves(monkeypatch):
+    """Shapes of every eigensolve, through ``hermitian_eig``, ``linalg.eigh``
+    or ``np.linalg.eigh``, counting a solve that calls another once."""
+    shapes, depth = [], [0]
+
+    def counting(fn):
+        def counted(m, *args, **kwargs):
+            if not depth[0]:
+                shapes.append(np.shape(m))
+            depth[0] += 1
+            try:
+                return fn(m, *args, **kwargs)
+            finally:
+                depth[0] -= 1
+
+        return counted
+
+    for module in (np.linalg, linalg, estimation):
+        for name in ("eigh", "hermitian_eig"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, counting(getattr(module, name)))
+    return shapes
 
 
 class TestPollKernel:
@@ -234,26 +301,26 @@ class TestPollKernel:
         return [(family_from_low_noise(ln), 0.2 * ln.validity[1]),
                 (family_from_low_noise(gad(0.8)), 0.3), (unitary, 0.7)]
 
-    def test_qubit_sphere_points(self):
+    def test_qubit_sphere_points(self, monkeypatch):
         xs = fibonacci_sphere(300)
         for fam, theta in self.families():
             ev = QfiEvaluator(fam, theta)
-            np.testing.assert_allclose(estimation._poll_kernel(ev)(xs),
+            np.testing.assert_allclose(search_objective(monkeypatch, fam, theta)(xs),
                                        ev.qfi(bloch_to_density(xs)), rtol=1e-12, atol=0)
 
-    def test_reduced_state_ball_points(self, rng):
+    def test_reduced_state_ball_points(self, rng, monkeypatch):
         ys = rng.standard_normal((300, 3))
         ys *= rng.uniform(0.0, 1.0, (300, 1)) / np.linalg.norm(ys, axis=-1, keepdims=True)
         ys = np.concatenate([ys, np.zeros((1, 3)), fibonacci_sphere(20)])
         for fam, theta in self.families():
             ev = QfiEvaluator(extend_family(fam, 2), theta)
-            np.testing.assert_allclose(estimation._poll_kernel(ev)(ys),
+            np.testing.assert_allclose(search_objective(monkeypatch, extend_family(fam, 2), theta)(ys),
                                        ev.qfi(pure_to_density(purification(ys))), rtol=1e-12, atol=0)
 
-    def test_refuses_points_outside_the_ball(self):
+    def test_refuses_points_outside_the_ball(self, monkeypatch):
         for dim_a in (1, 2):
             fam = family_from_low_noise(depolarizing())
-            f = estimation._poll_kernel(QfiEvaluator(extend_family(fam, dim_a), 0.1))
+            f = search_objective(monkeypatch, extend_family(fam, dim_a), 0.1)
             with pytest.raises(ValidationError):
                 f(np.array([[0.0, 0.0, 1.0 + 1e-6]]))
 
@@ -266,12 +333,12 @@ class TestQfiValues:
         drho = random_hermitian_stack(rng, 500, 2)  # nonzero trace
         keep = 1.0 - np.linalg.norm(density_to_bloch(rho), axis=-1) >= 1e-3
         assert keep.sum() > 400
-        np.testing.assert_allclose(_qfi_values(rho[keep], drho[keep], KERNEL_TOL),
+        np.testing.assert_allclose(closed_form_qfi(rho[keep], drho[keep]),
                                    eigenbasis_qfi(rho[keep], drho[keep]), rtol=1e-12, atol=0)
 
     def test_maximally_mixed_output(self, rng):
         drho = random_hermitian_stack(rng, 50, 2)
-        got = _qfi_values(np.broadcast_to(ID2 / 2, drho.shape), drho, KERNEL_TOL)
+        got = closed_form_qfi(np.broadcast_to(ID2 / 2, drho.shape), drho)
         # every p_i + p_j is 1, so the QFI is 2 ||drho||_F^2
         np.testing.assert_allclose(got, 2.0 * np.sum(np.abs(drho) ** 2, axis=(-2, -1)),
                                    rtol=1e-14, atol=0)
@@ -280,7 +347,7 @@ class TestQfiValues:
         rho = np.stack([random_density(rng, 2) for _ in range(50)])
         drho = np.broadcast_to(0.3 * ID2, rho.shape)
         p = np.linalg.eigvalsh(rho)
-        np.testing.assert_allclose(_qfi_values(rho, drho, KERNEL_TOL),
+        np.testing.assert_allclose(closed_form_qfi(rho, drho),
                                    0.09 * np.sum(1.0 / p, axis=-1), rtol=1e-12, atol=0)
 
     def test_pure_outputs_mask_the_kernel_term(self, rng):
@@ -292,7 +359,7 @@ class TestQfiValues:
         # a derivative with weight on the kernel of a pure rho: that term is
         # dropped by both paths, the rest agrees
         drho = random_hermitian_stack(rng, 200, 2)
-        np.testing.assert_allclose(_qfi_values(rho, drho, KERNEL_TOL),
+        np.testing.assert_allclose(closed_form_qfi(rho, drho),
                                    eigenbasis_qfi(rho, drho), rtol=1e-12, atol=0)
 
     @pytest.mark.parametrize("delta", np.geomspace(1e-12, 1e-3, 8))
@@ -303,7 +370,7 @@ class TestQfiValues:
         # both paths know the small eigenvalue delta/2 only to an absolute
         # rounding error of a few 1e-16, so its term carries a relative
         # error of that over delta; delta = 1e-12 and 2e-11 sit in the kernel
-        np.testing.assert_allclose(_qfi_values(rho, drho, KERNEL_TOL), eigenbasis_qfi(rho, drho),
+        np.testing.assert_allclose(closed_form_qfi(rho, drho), eigenbasis_qfi(rho, drho),
                                    rtol=1e-12 + 1e-14 / delta, atol=0)
 
     def test_dim_4_matches_the_sld_based_value(self, rng):
@@ -327,8 +394,6 @@ class TestQfiValues:
 
     def test_nan_output_is_refused_on_the_qubit_path(self):
         rho = np.array([[np.nan, 0.0], [0.0, 0.5]], dtype=complex)
-        with pytest.raises(ValidationError):
-            _qfi_values(rho, np.zeros((2, 2), dtype=complex), KERNEL_TOL)
         ev = QfiEvaluator(family_from_low_noise(depolarizing()), 0.1)
         with pytest.raises(ValidationError):
             ev.qfi(rho)
@@ -363,13 +428,7 @@ def test_result_eigensolves_a_4x4_output_once(monkeypatch):
     fam = extend_family(family_from_low_noise(random_low_noise(5, num_m=3)), 2)
     rho = random_density(np.random.default_rng(5), 4)
     expected = QfiEvaluator(fam, 0.05).qfi(rho)
-    calls = []
-
-    def counting_eig(m, *args, **kwargs):
-        calls.append(np.shape(m))
-        return hermitian_eig(m, *args, **kwargs)
-
-    monkeypatch.setattr(estimation, "hermitian_eig", counting_eig)
+    calls = count_eigensolves(monkeypatch)
     res = channel_qfi(fam, rho, 0.05)
     assert calls == [(4, 4)]
     assert res.qfi == expected
@@ -484,18 +543,16 @@ class TestMaximizePure:
 
     def test_default_extended_grid_has_32_states(self, monkeypatch):
         batches = []
-        original = estimation._poll_kernel
+        original = estimation.pattern_search
 
-        def counting_kernel(ev):
-            f = original(ev)
-
+        def spy(f, grid, project):
             def counting_f(ys):
                 batches.append(ys.shape[:-1])
                 return f(ys)
 
-            return counting_f
+            return original(counting_f, grid, project)
 
-        monkeypatch.setattr(estimation, "_poll_kernel", counting_kernel)
+        monkeypatch.setattr(estimation, "pattern_search", spy)
         maximize_qfi_pure(extend_family(family_from_low_noise(depolarizing()), 2), 0.1, 4)
         assert batches[0] == (32,)
 
@@ -519,16 +576,10 @@ class TestMaximizePure:
     def test_extended_search_solves_no_2x2_eigenproblem(self, monkeypatch):
         # the purification of a reduced state is closed form; only the
         # 4x4 output states of the QFI need an eigensolve
-        shapes = []
-        original = linalg.hermitian_eig
-
-        def counting_eig(m, *args, **kwargs):
-            shapes.append(np.shape(m)[-2:])
-            return original(m, *args, **kwargs)
-
-        monkeypatch.setattr(linalg, "hermitian_eig", counting_eig)
-        monkeypatch.setattr(estimation, "hermitian_eig", counting_eig)
-        maximize_qfi_pure(extend_family(family_from_low_noise(depolarizing()), 2), 0.1, 4)
+        fam = extend_family(family_from_low_noise(depolarizing()), 2)
+        solves = count_eigensolves(monkeypatch)
+        maximize_qfi_pure(fam, 0.1, 4)
+        shapes = [shape[-2:] for shape in solves]
         assert shapes and (2, 2) not in shapes
 
     def test_unrefined_search_returns_the_grid_winner(self):
