@@ -38,7 +38,6 @@ from .estimation import (
 )
 from .linalg import (
     bloch_to_density,
-    check_density,
     dagger,
     density_to_bloch,
     fibonacci_sphere,

@@ -160,19 +160,24 @@ def instantiate(ln: LowNoiseChannel, eps: float) -> KrausChannel:
 
 
 def validate_first_order(ln: LowNoiseChannel) -> float:
-    """Residual of the first-order trace-preservation relation.
+    """Residual of the first-order trace-preservation relation, scale free.
 
     Returns the max-abs entry of
-    ``sum_alpha M^dag M - sum_a (kappa_a N_a^dag + conj(kappa_a) N_a)``.
+    ``sum_alpha M^dag M - sum_a (kappa_a N_a^dag + conj(kappa_a) N_a)`` in
+    units of ``u^2``, formed from ``M / u`` and ``N_a / u^2`` as
+    :func:`from_noise_operators` forms the noise sum; ``u`` is
+    :func:`noise_unit`, floored at ``2^-511`` so that ``u^2`` stays a normal
+    number, since N_a below the normal range carry only absolute precision.
     """
+    unit = max(noise_unit(ln.noise_ops), 2.0 ** -511)
     lhs = np.zeros((ln.dim, ln.dim), dtype=complex)
     with np.errstate(over="ignore", invalid="ignore"):  # an inf or NaN residual fails any tol
         for m in ln.noise_ops:
-            lhs += dagger(m) @ m
-    rhs = np.zeros_like(lhs)
-    for kap, n1 in zip(ln.kappas, ln.first_order):
-        rhs += kap * dagger(n1) + np.conj(kap) * n1
-    return float(np.max(np.abs(lhs - rhs)))
+            lhs += dagger(m / unit) @ (m / unit)
+        for kap, n1 in zip(ln.kappas, ln.first_order):
+            n1 = n1 / unit / unit
+            lhs -= kap * dagger(n1) + np.conj(kap) * n1
+    return float(np.max(np.abs(lhs)))
 
 
 def as_noise_ops(noise_ops, dim: int | None = None) -> tuple[list[np.ndarray], int]:
@@ -192,7 +197,7 @@ def as_noise_ops(noise_ops, dim: int | None = None) -> tuple[list[np.ndarray], i
 def noise_unit(ms) -> float:
     """``2^k`` with the largest entry of the operators in ``[2^(k-1), 2^k)``
     (k clipped to the normal range), for exact rescaling; refuses NaN and inf."""
-    peak = float(np.abs(np.asarray(ms)).max())
+    peak = float(np.abs(np.asarray(ms)).max(initial=0.0))
     if not math.isfinite(peak):
         raise ValidationError("noise operators have a NaN or infinite entry")
     return math.ldexp(1.0, min(max(math.frexp(peak)[1], -1021), 1023))

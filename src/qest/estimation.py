@@ -17,11 +17,12 @@ above over one batched eigensolve.  Only :func:`sld` and
 :meth:`QfiEvaluator.result` build the SLD matrix.
 
 Input-state maximization is a deterministic search in Bloch coordinates:
-:func:`~qest.linalg.pattern_search` from the best point of a Fibonacci grid on
-the sphere of pure qubit inputs or, for qubit + qubit, of Fibonacci shells of
-reduced states in the ball, where the QFI is concave; each reduced state is
-probed at its canonical purification.  The reported value is attained by the
-returned state, hence a certified lower bound on the true maximum.
+:func:`~qest.linalg.pattern_search`, which polls 12 directions at two step
+scales per round, from the best point of a Fibonacci grid on the sphere of
+pure qubit inputs or, for qubit + qubit, of Fibonacci shells of reduced
+states in the ball, where the QFI is concave; each reduced state is probed at
+its canonical purification.  The reported value is attained by the returned
+state, hence a certified lower bound on the true maximum.
 """
 
 from __future__ import annotations

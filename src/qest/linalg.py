@@ -34,10 +34,6 @@ PAULI_BASIS = np.stack([ID2, *PAULIS]).reshape(4, 4).T
 #: default tolerance for "is this matrix Hermitian" checks (max-abs deviation)
 HERMITIAN_TOL = 1e-9
 
-#: eigenvalues of a density operator may dip this far below zero before we
-#: reject it (finite-precision channel outputs land here routinely)
-PSD_TOL = 1e-9
-
 
 def dagger(m: np.ndarray) -> np.ndarray:
     """Conjugate transpose, broadcasting over leading axes."""
@@ -184,18 +180,6 @@ def bloch_state(polar, azim) -> np.ndarray:
     return np.stack([np.cos(polar / 2.0) + 0j, np.exp(1j * azim) * np.sin(polar / 2.0)], axis=-1)
 
 
-def check_density(rho: np.ndarray) -> None:
-    """Validate a density operator: Hermitian, unit trace, eigenvalues >= -PSD_TOL."""
-    rho = np.asarray(rho, dtype=complex)
-    check_hermitian(rho, what="density operator")
-    tr = complex(np.trace(rho))
-    if abs(tr - 1.0) > HERMITIAN_TOL:
-        raise ValidationError(f"density operator trace {tr} is not 1")
-    w, _ = hermitian_eig(rho, tol=1e-8)
-    if float(np.min(w)) < -PSD_TOL:
-        raise ValidationError(f"density operator has eigenvalue {float(np.min(w)):.3e} < -{PSD_TOL:.1e}")
-
-
 def pure_to_density(psi: np.ndarray) -> np.ndarray:
     """Projector ``|psi><psi|`` for amplitude vectors, batched over leading axes."""
     psi = np.asarray(psi, dtype=complex)
@@ -225,6 +209,8 @@ def fibonacci_sphere(n: int) -> np.ndarray:
 
 #: poll directions of :func:`pattern_search`
 PATTERN = fibonacci_sphere(12)
+#: one round's poll of :func:`pattern_search` at unit step: ``PATTERN``, then ``PATTERN / 2``
+_POLL = np.concatenate([PATTERN, PATTERN / 2.0])
 
 
 def to_sphere(x: np.ndarray) -> np.ndarray:
@@ -241,10 +227,14 @@ def pattern_search(f, grid: np.ndarray, project) -> tuple[np.ndarray, float]:
     """Maximize ``f`` over a domain of R^3, starting from the best point of
     ``grid`` (the first one on ties).
 
-    A derivative-free pattern search (Torczon, SIAM J. Optim. 7, 1, 1997):
-    each round evaluates ``f`` once on the batch ``project(x + step * PATTERN)``
-    and moves to its best point if that is strictly better, else halves the
-    step, from 0.1 until it is below 1e-9.  ``project`` maps R^3 onto the
+    A derivative-free pattern search (Torczon, SIAM J. Optim. 7, 1, 1997)
+    that polls two step scales at once: each round evaluates ``f`` once on
+    the batch ``project(x + step * _POLL)``, ``PATTERN`` at the step and at
+    half of it, and moves to its best point (the first one on ties) if that
+    is strictly better, continuing at that point's scale; else it divides
+    the step by 4, from 0.1 until it is below 1e-9.  The half-step points act
+    as the optional search step of a generalized pattern search (Audet &
+    Dennis, SIAM J. Optim. 13, 889, 2003).  ``project`` maps R^3 onto the
     domain (:func:`to_sphere`, :func:`to_ball`) and ``f`` takes a stack of
     points.  Ties never move, so the result is deterministic and never worse
     than the grid.
@@ -254,11 +244,13 @@ def pattern_search(f, grid: np.ndarray, project) -> tuple[np.ndarray, float]:
     x, value = grid[k], float(vals[k])
     step = 0.1
     while step >= 1e-9:
-        pts = project(x + step * PATTERN)
+        pts = project(x + step * _POLL)
         vals = f(pts)
         k = int(np.argmax(vals))
         if vals[k] > value:
             x, value = pts[k], float(vals[k])
+            if k >= len(PATTERN):
+                step /= 2.0
         else:
-            step /= 2.0
+            step /= 4.0
     return x, value

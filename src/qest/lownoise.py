@@ -326,8 +326,10 @@ def eta_bruteforce(noise_ops, grid_size: int = 10_000) -> float:
     Maximizes the leading coefficient over a Fibonacci grid of pure states and
     over a radial-by-spherical grid of the solid ball (reduced states of
     extended inputs; a qubit ancilla suffices), each winner refined by
-    :func:`~qest.linalg.pattern_search` on the sphere and in the ball.  Each
-    evaluation is the contraction that :func:`leading_qfi_coefficient` uses.
+    :func:`~qest.linalg.pattern_search` on the sphere and in the ball, which
+    polls 12 directions at two step scales per round down to a step of 1e-9.
+    Each evaluation is the contraction that :func:`leading_qfi_coefficient`
+    uses.
     """
     if grid_size < 1000:
         raise ValidationError(f"grid_size must be at least 1000, got {grid_size}")

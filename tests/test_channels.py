@@ -281,6 +281,16 @@ class TestFirstOrderData:
         )
         np.testing.assert_allclose(validate_first_order(tampered), 0.02, atol=1e-15)
 
+    @pytest.mark.parametrize("scale", [1e-170, 1e-159, 1e-100, 1.0, 1e4, 1e150])
+    def test_residual_is_scale_free(self, scale):
+        # 1e-159 puts the first-order data among the subnormal numbers
+        assert validate_first_order(random_low_noise(42, scale=scale)) < 1e-15
+
+    def test_residual_without_noise_operators(self):
+        dep = depolarizing()
+        bare = replace(dep, noise_ops=(), first_order=(0.01 * ID2,))
+        np.testing.assert_allclose(validate_first_order(bare), 0.02, atol=1e-15)
+
     def test_kappa_normalization_enforced(self):
         dep = depolarizing()
         with pytest.raises(ValidationError):

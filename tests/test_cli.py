@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import warnings
 
@@ -5,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qest.channel_io import channel_from_dict, demo_dict, matrix_to_json
+from qest.channel_io import CHANNEL_TYPES, channel_from_dict, demo_dict, matrix_to_json
 from qest.catalog import depolarizing, gad, random_low_noise
 from qest.cli import main
 from qest.lownoise import enhancement_factor
@@ -414,6 +416,15 @@ class TestOperatorScale:
         out, err = capsys.readouterr()
         assert err == "" and "NaN" not in out and json.loads(out)["ok"] is True
 
+    def test_large_demo_validates(self, tmp_path, capsys):
+        # the first-order residual is judged in units of the noise sum, which here is ~1e8
+        assert main(["demo", "random", "--scale", "1e4"]) == 0
+        path = tmp_path / "large.json"
+        path.write_text(capsys.readouterr().out, encoding="utf-8")
+        assert main(["validate", str(path)]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["ok"] is True and report["first_order_residual"] < 1e-12
+
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_overflowing_noise_sum_is_refused_in_one_line(self, tmp_path, capsys):
         expected = "validation error: the noise sum overflows; scale the noise operators down\n"
@@ -469,3 +480,49 @@ def test_exit_code_contract_on_extreme_entries(fuzz_dir, payload):
     path = write_json(fuzz_dir / "channel.json", payload)
     for command in ("validate", "eta"):
         assert 0 <= main([command, path]) <= 4
+
+
+# the schema's keys, and keys a channel file might mistakenly use for them
+FUZZ_KEYS = ("dim", "type", "M", "kappa", "N1", "betaE", "axis", "kappas", "first_order", "U")
+
+json_leaves = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(min_value=-(10**400), max_value=10**400),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.text(max_size=3),
+)
+json_trees = st.recursive(
+    json_leaves,
+    lambda kids: st.lists(kids, max_size=3) | st.dictionaries(st.text(max_size=3), kids, max_size=3),
+    max_leaves=8,
+)
+# a list of 2x2 matrices of leaves, to reach the matrix readers
+matrix_trees = st.lists(
+    st.lists(st.lists(json_leaves, min_size=2, max_size=2), min_size=2, max_size=2),
+    min_size=1, max_size=2,
+)
+
+
+@st.composite
+def json_channel_trees(draw):
+    """An object of random JSON trees under channel-file keys; about half the
+    time ``type`` and ``dim`` are valid, so the trees reach the builders."""
+    payload = {key: draw(matrix_trees if key in ("M", "N1") and draw(st.booleans()) else json_trees)
+               for key in draw(st.sets(st.sampled_from(FUZZ_KEYS), max_size=5))}
+    if draw(st.booleans()):
+        payload.update(type=draw(st.sampled_from(CHANNEL_TYPES)), dim=2)
+    return payload
+
+
+@given(json_channel_trees())
+@settings(max_examples=100)
+def test_exit_code_contract_on_random_json_trees(fuzz_dir, payload):
+    # whatever JSON tree a channel file holds, every command that reads one
+    # ends with a documented exit code and a message, never a traceback
+    path = write_json(fuzz_dir / "tree.json", payload)
+    for argv in (["eta", path], ["validate", path], ["qfi", path, "--epsilon", "0.05", "--input", "0,0,1"]):
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(argv)
+        assert 0 <= code <= 4 and "Traceback" not in err.getvalue()

@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from qest import estimation
 from qest.catalog import random_low_noise
+from qest.channels import extend_family, family_from_low_noise
 from qest.errors import ConvergenceError, ValidationError
 from qest.linalg import (
     bloch_angles,
@@ -13,12 +15,12 @@ from qest.linalg import (
     SIGMA_Z,
     bloch_to_density,
     check_bloch,
-    check_density,
     dagger,
     density_to_bloch,
     fibonacci_sphere,
     hermitian_eig,
     partial_trace,
+    PATTERN,
     pattern_search,
     pauli_decompose,
     pure_to_density,
@@ -27,6 +29,7 @@ from qest.linalg import (
     to_ball,
     to_sphere,
 )
+from qest.estimation import maximize_qfi_pure
 from qest.lownoise import noise_geometry
 
 from conftest import random_density, random_hermitian, random_unitary
@@ -155,17 +158,6 @@ class TestHermitianEigKernel:
         w, _ = hermitian_eig(h)
         ref = np.linalg.eigvalsh(h)
         assert np.max(np.abs(w - ref)) <= 1e-14 * ref[-1]
-
-
-class TestCheckDensity:
-    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-    def test_rejects_non_finite(self, bad):
-        for rho in ([[bad, 0.0], [0.0, 1.0]], [[0.5, bad], [bad, 0.5]]):
-            with pytest.raises(ValidationError):
-                check_density(np.array(rho, dtype=complex))
-
-    def test_accepts_a_density(self, rng):
-        check_density(random_density(rng, 3))
 
 
 class TestTensorProduct:
@@ -361,3 +353,53 @@ class TestPatternSearch:
         c = np.array([-0.4, 0.0, 0.5])
         x, value = pattern_search(self._quadratic(c), c[None], to_ball)
         assert np.array_equal(x, c) and value == 0.0
+
+    @staticmethod
+    def _polls(f, grid, project):
+        """The point batches of every poll round of a search, the grid left out."""
+        batches = []
+
+        def recording_f(xs):
+            batches.append(np.array(xs))
+            return f(xs)
+
+        pattern_search(recording_f, grid, project)
+        return batches[1:]
+
+    def test_move_to_a_half_step_point_continues_at_half_the_step(self):
+        # the best point of the first poll is 0.05 * PATTERN[3], on the half-step ring
+        c = 0.05 * PATTERN[3]
+        first, second = self._polls(self._quadratic(c), np.zeros((1, 3)), to_ball)[:2]
+        np.testing.assert_allclose(first, np.concatenate([0.1 * PATTERN, 0.05 * PATTERN]), atol=1e-16)
+        np.testing.assert_allclose(
+            second - c, np.concatenate([0.05 * PATTERN, 0.025 * PATTERN]), atol=1e-16
+        )
+
+    def test_a_round_without_a_move_divides_the_step_by_4(self):
+        x0 = np.array([0.1, 0.2, -0.3])
+        polls = self._polls(lambda xs: np.zeros(len(xs)), x0[None], to_ball)
+        # 0.1 / 4^k down to the last step at or above 1e-9, each with its half
+        steps = 0.1 / 4.0 ** np.arange(14)
+        assert len(polls) == len(steps)
+        for pts, step in zip(polls, steps):
+            np.testing.assert_allclose(
+                pts - x0, np.concatenate([step * PATTERN, step / 2 * PATTERN]), rtol=0, atol=1e-16
+            )
+
+    @pytest.mark.parametrize("dim", [2, 4])
+    def test_probe_searches_average_at_most_35_objective_calls(self, monkeypatch, dim):
+        calls = []
+
+        def counting_search(f, grid, project):
+            def counted_f(xs):
+                calls[-1] += 1
+                return f(xs)
+
+            calls.append(0)
+            return pattern_search(counted_f, grid, project)
+
+        monkeypatch.setattr(estimation, "pattern_search", counting_search)
+        for s in range(12):
+            fam = family_from_low_noise(random_low_noise(9000 + s))
+            maximize_qfi_pure(fam if dim == 2 else extend_family(fam, 2), 0.05, dim)
+        assert len(calls) == 12 and np.mean(calls) <= 35
