@@ -15,8 +15,8 @@ axial vector J built from its imaginary part, and then
 The enhancement factor eta is the ratio of the maximum of L over the solid
 ball (reduced states of ancilla-extended pure inputs) to the maximum over the
 unit sphere (unextended pure inputs).  For every qubit channel it lies in
-[1, 3/2].  :func:`enhancement_factor` works in the eigenbasis of H, from one
-real symmetric eigensolve of H/tr H, with J as ``d = v^T J`` there.
+[1, 3/2].  :func:`enhancement_factor` takes one real eigensolve of H/tr H and
+finds the sphere multiplier by Newton's method on the secular equation.
 """
 
 from __future__ import annotations
@@ -56,12 +56,9 @@ METHOD_CLOSED_FORM = "CLOSED_FORM"
 METHOD_DIRECT = "DIRECT"
 METHOD_BOTH = "BOTH"
 
-#: eigenvalue floor, in units of tr H, below which H counts as singular and
-#: below which eigenvalues count as equal in the sphere minimizer
+#: eigenvalue floor, in units of tr H: below it H counts as singular, and in the
+#: sphere minimizer's hard case the eigenvalues this near the bottom fill the norm
 SINGULAR_REL_TOL = 1e-12
-
-#: the -I block of the 6x6 multiplier pencil of _sphere_min
-_PENCIL = np.block([[np.zeros((3, 3)), -np.eye(3)], [np.zeros((3, 6))]])
 
 
 @dataclass(frozen=True)
@@ -170,31 +167,45 @@ def quadratic_form(geom: NoiseGeometry, x: np.ndarray) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _sphere_min(w, v, c):
-    """Global minimum of ``x.Hx + 2c.x`` over unit vectors, ``H = v diag(w) v^T``.
+def _dots(rows, y):  # [r . y for r in rows], 3-vectors of floats
+    return [r0 * y[0] + r1 * y[1] + r2 * y[2] for r0, r1, r2 in rows]
 
-    A trust-region subproblem: the minimizer solves ``(H - lam I) x = -c``
-    with ``lam <= w_min``, and that multiplier is the leftmost eigenvalue of
-    ``[[H, -I], [-c c^T, H]]`` (Gander, Golub & von Matt 1989), filled in place
-    in the eigenbasis, ``d = v^T c``.  There ``y = -d / (w - lam)`` off the
-    bottom eigenspace, which takes the remaining norm along ``-d`` (this also
-    covers the hard case ``lam = w_min``); no result depends on the signs of
-    v.  H is in units of its trace, so the clustering threshold is a constant.
+
+def _sphere_min(w, v, c):
+    """Global minimum of ``x.Hx + 2c.x`` over unit vectors, ``H = v diag(w) v^T``,
+    as ``(value, x, lam)``, from lists of floats (w ascending, v by rows).
+
+    The minimizer solves ``(H - lam I) x = -c``, ``lam <= w_min`` (More & Sorensen
+    1983): ``y = -d / (t + delta)`` with ``d = v^T c``, ``t = w_min - lam`` and
+    ``delta = w - w_min``.  ``1/|y(t)| - 1`` is concave and increasing, so Newton's
+    method climbs from ``t0 = max(|d_i| - delta_i, 0)`` over d_i != 0 (``|y| >= 1``)
+    to the root until t stops increasing; t >= 0 certifies the global minimum.
+    The hard case is t0 = 0 with ``|y(0)| <= 1``: lam = w_min, and the eigenvalues
+    within SINGULAR_REL_TOL of it take the remaining norm.
     """
-    d = c @ v
-    pencil = _PENCIL.copy()
-    pencil.flat[::7] = w  # the diagonal, w twice
-    pencil[3:, :3] = np.multiply.outer(-d, d)
-    lam = min(float(np.linalg.eigvals(pencil).real.min()), float(w[0]))
-    bottom = w - w[0] <= SINGULAR_REL_TOL
-    y = d / np.where(bottom, -np.inf, lam - w)  # -d / (w - lam), and 0 on the bottom
-    fill = np.where(bottom, -d, 0.0)
-    if not fill.any():  # any bottom direction will do: v[:, 0], largest entry positive
-        fill[0] = math.copysign(1.0, v[np.argmax(np.abs(v[:, 0])), 0])
-    fill /= np.abs(fill).max()  # the norm of a tiny fill would underflow to 0
-    y += math.sqrt(max(0.0, 1.0 - float(y @ y))) / math.sqrt(fill @ fill) * fill
-    y /= math.sqrt(y @ y)
-    return float(w @ (y * y) + 2.0 * d @ y), v @ y
+    d = _dots(zip(*v), c)
+    delta = [wi - w[0] for wi in w]  # t + delta, not w - lam: t may be below one ulp of w_min
+    terms = [(di, de) for di, de in zip(d, delta) if di]
+    t = max([0.0] + [abs(di) - de for di, de in terms])
+    hard = t == 0.0 and sum((di / de) ** 2 for di, de in terms) <= 1.0
+    for _ in range(0 if hard else 100):
+        y2 = [((di / (t + de)) ** 2, t + de) for di, de in terms]
+        norm2 = sum(yy for yy, _ in y2)
+        step = (math.sqrt(norm2) - 1.0) * norm2 / sum(yy / s for yy, s in y2)  # -psi / psi'
+        if not t + step > t:
+            break
+        t += step
+    bottom = [hard and de <= SINGULAR_REL_TOL for de in delta]
+    y = [-di / (t + de) if di and not b else 0.0 for di, de, b in zip(d, delta, bottom)]
+    if hard:  # the rest of the norm along -d, or along v[:, 0] (largest entry positive)
+        fill = [-di if b else 0.0 for di, b in zip(d, bottom)]
+        fill[0] = fill[0] if any(fill) else math.copysign(1.0, max((r[0] for r in v), key=abs))
+        rest, size = math.sqrt(max(0.0, 1.0 - sum(yi * yi for yi in y))), math.hypot(*fill)
+        y = [yi + rest * (f / size) for yi, f in zip(y, fill)]  # hypot does not underflow
+    norm = math.hypot(*y)
+    y = [yi / norm for yi in y]
+    value = sum(wi * yi * yi for wi, yi in zip(w, y)) + 2.0 * sum(di * yi for di, yi in zip(d, y))
+    return value, np.array(_dots(v, y)), w[0] - t
 
 
 def min_quadratic_on_sphere(h_mat: np.ndarray, k: np.ndarray) -> tuple[float, np.ndarray]:
@@ -202,8 +213,8 @@ def min_quadratic_on_sphere(h_mat: np.ndarray, k: np.ndarray) -> tuple[float, np
 
     H must be finite, symmetric and positive semidefinite, and k finite.
     Solved in units of tr H by :func:`enhancement_factor`'s real eigensolve
-    and trust-region solution: the Lagrange multiplier is the leftmost
-    eigenvalue of a 6x6 matrix built from H and ``H k``.
+    and trust-region solution: the Lagrange multiplier is the root of the secular
+    equation that Newton's method reaches from below, at most min eig H.
     """
     h_mat = np.asarray(h_mat, dtype=float)
     k = np.asarray(k, dtype=float)
@@ -216,7 +227,7 @@ def min_quadratic_on_sphere(h_mat: np.ndarray, k: np.ndarray) -> tuple[float, np
     if float(w[0]) < -1e-9 * max(1.0, float(w[-1])):
         raise ValidationError(f"H must be positive semidefinite, min eigenvalue {float(w[0]):.3e}")
     scale = float(np.sum(np.abs(w))) or 1.0  # tr H, up to roundoff; H = 0 keeps 1
-    val, x = _sphere_min(w / scale, v, h_mat @ k / scale)
+    val, x, _ = _sphere_min((w / scale).tolist(), v.tolist(), (h_mat @ k / scale).tolist())
     return scale * val + float(k @ h_mat @ k), x
 
 
@@ -234,22 +245,22 @@ def _ball_max(w, v, d, leading_pure, x_sphere):
     is concave: its stationary point ``-H^+ J`` (H^+ the pseudo-inverse over
     eigenvalues above SINGULAR_REL_TOL) counts if ``H x = -J`` holds there and
     it lies in the ball; otherwise the maximum is the sphere's."""
-    k = d / np.where(w > SINGULAR_REL_TOL * w[-1], w, np.inf)  # H^+ J; x = -v k
-    resid, norm0 = d - w * k, math.sqrt(k @ k)  # resid = H x + J
-    if math.sqrt(resid @ resid) <= 1e-10 and norm0 <= 1.0 + 1e-12:
-        leading_extended = 1.0 + float(d @ k)
+    k = [di / wi if wi > SINGULAR_REL_TOL * w[2] else 0.0 for di, wi in zip(d, w)]  # H^+ J
+    resid, norm0 = math.hypot(*(di - wi * ki for di, wi, ki in zip(d, w, k))), math.hypot(*k)
+    if resid <= 1e-10 and norm0 <= 1.0 + 1e-12:  # resid = |H x + J| at x = -v k
+        leading_extended = 1.0 + sum(di * ki for di, ki in zip(d, k))
         if leading_extended >= leading_pure:  # the ball contains the sphere
-            return leading_extended, -(v @ (k / max(1.0, norm0)))
+            return leading_extended, np.array(_dots(v, [-ki / max(1.0, norm0) for ki in k]))
     return leading_pure, x_sphere
 
 
 def _classify(jvec, w, d):
-    if math.sqrt(jvec @ jvec) <= 1e-12:
+    if math.hypot(*jvec) <= 1e-12:
         return REGIME_J_ZERO
-    if float(w[0]) <= SINGULAR_REL_TOL * float(w[-1]):
+    if w[0] <= SINGULAR_REL_TOL * w[2]:
         return REGIME_SINGULAR_H
-    k = d / w
-    return REGIME_INSIDE_BALL if math.sqrt(k @ k) <= 1.0 else REGIME_OUTSIDE_BALL
+    k = math.hypot(*(di / wi for di, wi in zip(d, w)))
+    return REGIME_INSIDE_BALL if k <= 1.0 else REGIME_OUTSIDE_BALL
 
 
 def _closed_form(w, v, d, regime, sphere_min, x_sphere):
@@ -260,9 +271,9 @@ def _closed_form(w, v, d, regime, sphere_min, x_sphere):
         return 1.0, 1.0 - sphere_min, x_sphere
     # inside the ball the minimum of (x+k).H(x+k) is zero, at x = -k = -H^-1 J,
     # while its sphere minimum is sphere_min + J.k
-    k = d / w
-    jhj = float(d @ k)
-    return (1.0 + jhj) / (1.0 - sphere_min), 1.0 + jhj, -(v @ k)
+    k = [di / wi for di, wi in zip(d, w)]
+    jhj = sum(di * ki for di, ki in zip(d, k))
+    return (1.0 + jhj) / (1.0 - sphere_min), 1.0 + jhj, np.array(_dots(v, [-ki for ki in k]))
 
 
 def enhancement_factor(noise_ops, method: str = METHOD_DIRECT) -> EnhancementReport:
@@ -277,7 +288,7 @@ def enhancement_factor(noise_ops, method: str = METHOD_DIRECT) -> EnhancementRep
     make every threshold relative, so eta does not depend on the scale of the
     operators; the leading coefficients are reported in their units (inf or 0
     past entries of about 1e154 or 1e-162).  H/tr H has one real eigensolve and
-    one sphere minimum (:func:`min_quadratic_on_sphere`), shared by both paths.
+    one sphere minimum (Newton on the secular equation), shared by both paths.
     """
     if method not in (METHOD_CLOSED_FORM, METHOD_DIRECT, METHOD_BOTH):
         raise ValidationError(f"unknown method {method!r}")
@@ -292,15 +303,15 @@ def enhancement_factor(noise_ops, method: str = METHOD_DIRECT) -> EnhancementRep
             "the leading coefficient vanishes for all inputs"
         )
 
-    jvec = geom.jvec / tr_h
     w, v = eigh(geom.h / tr_h)
-    d = jvec @ v
+    w, v, jvec = w.tolist(), v.tolist(), (geom.jvec / tr_h).tolist()
+    d = _dots(zip(*v), jvec)
     regime = _classify(jvec, w, d)
     if method != METHOD_DIRECT and regime == REGIME_SINGULAR_H:
         raise SingularGeometryError(
             "noise metric is singular; the closed form needs H^-1, use the direct method"
         )
-    sphere_min, x_sphere = _sphere_min(w, v, jvec)
+    sphere_min, x_sphere, _ = _sphere_min(w, v, jvec)
     pure = 1.0 - sphere_min
     agreement = None
     if method == METHOD_CLOSED_FORM:

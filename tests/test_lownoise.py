@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 import warnings
 
@@ -41,6 +42,41 @@ from qest.lownoise import (
 )
 
 from conftest import random_density, random_noise_ops, random_unitary
+
+
+def secular_sphere_min(w, d):
+    """Reference minimum of ``sum w y^2 + 2 d.y`` over unit y, w ascending.
+
+    Bisection of the secular equation ``|y(t)| = 1``, ``y_i = -d_i/(t + w_i -
+    w_0)``, from the bracket ``[max(|d_i| - (w_i - w_0), 0), |d|]`` (in
+    geometric steps while it spans more than a factor 4); in the hard case, no
+    root with t > 0, y(0) off the bottom and the bottom direction taking the
+    remaining norm.  Its value is that of a unit vector, so it is never below
+    the true minimum.
+    """
+    delta = [wi - w[0] for wi in w]
+
+    def y_at(t):
+        return [-di / (t + de) if di else 0.0 for di, de in zip(d, delta)]
+
+    def outside(t):
+        return sum(yi * yi for yi in y_at(t)) > 1.0
+
+    if all(di == 0.0 for di, de in zip(d, delta) if de == 0.0) and not outside(0.0):
+        y = y_at(0.0)
+        y[0] = math.sqrt(max(0.0, 1.0 - sum(yi * yi for yi in y)))
+    else:
+        lo = max([0.0] + [abs(di) - de for di, de in zip(d, delta) if di])
+        hi = math.sqrt(sum(di * di for di in d))
+        while True:
+            mid = math.sqrt(lo) * math.sqrt(hi) if 0.0 < 4.0 * lo < hi else 0.5 * (lo + hi)
+            if mid in (lo, hi):
+                break
+            lo, hi = (mid, hi) if outside(mid) else (lo, mid)
+        y = y_at(hi)
+    norm = math.sqrt(sum(yi * yi for yi in y))
+    y = [yi / norm for yi in y]
+    return sum(wi * yi * yi for wi, yi in zip(w, y)) + 2.0 * sum(di * yi for di, yi in zip(d, y))
 
 
 def ops_from_pauli_rows(mu):
@@ -167,14 +203,17 @@ class TestMinQuadraticOnSphere:
             c = rng.standard_normal(3) * rng.uniform(0.0, 2.0)
             tr_h = float(np.trace(h_mat))
             w, v = hermitian_eig(h_mat.astype(complex) / tr_h)
-            val, x = _sphere_min(w, v.real, c / tr_h)
+            val, x, lam_star = _sphere_min(w.tolist(), v.real.tolist(), (c / tr_h).tolist())
             val *= tr_h
             grid = np.einsum("ni,ij,nj->n", pts, h_mat, pts) + 2.0 * pts @ c
             assert val <= float(np.min(grid)) + 1e-12 * tr_h
-            # optimality certificate: (H - lam I) x = -c with lam <= lambda_min(H)
+            # optimality certificate: (H - lam I) x = -c with lam <= lambda_min(H),
+            # for the lam rebuilt from x and for the multiplier the solver returns
             lam = float(x @ h_mat @ x + c @ x)
             assert lam <= np.linalg.eigvalsh(h_mat)[0] + 1e-12 * tr_h
             assert np.linalg.norm(h_mat @ x - lam * x + c) <= 1e-10 * tr_h
+            assert lam_star <= w[0]
+            assert abs(tr_h * lam_star - lam) <= 1e-10 * tr_h
 
     def test_hard_case_degenerate_eigenvalues(self):
         # linear term H k = (0, 0, 1) orthogonal to the bottom eigenspace
@@ -186,6 +225,47 @@ class TestMinQuadraticOnSphere:
         expected = 1.0 * (1 - y3**2) + 4.0 * y3**2 + 2.0 * y3
         np.testing.assert_allclose(val, expected + k @ h_mat @ k, atol=1e-10)
 
+    @staticmethod
+    def certified_multiplier(w, d, rng):
+        """_sphere_min on ascending w (tr H = 1) and eigenbasis vector d, with a
+        signed-permutation eigenbasis so that ``d = v^T c`` is exact; checks the
+        value against secular_sphere_min, the certificate lam <= w_0 = lambda_min(H),
+        stationarity and the unit norm, and returns lam."""
+        v = np.eye(3)[rng.permutation(3)] * rng.choice([-1.0, 1.0], size=3)
+        h_mat, c = v @ np.diag(w) @ v.T, v @ np.asarray(d)
+        val, x, lam = _sphere_min(list(w), v.tolist(), c.tolist())
+        tr_h = sum(w)
+        assert val <= secular_sphere_min(w, d) + 1e-14 * tr_h
+        assert lam <= w[0]
+        assert np.linalg.norm(h_mat @ x - lam * x + c) <= 1e-10 * tr_h
+        assert abs(np.linalg.norm(x) - 1.0) <= 1e-15
+        return lam
+
+    def test_root_below_bottom_with_j_orthogonal_to_it(self, rng):
+        # d_0 = 0 but |(H - w_0)^+ J| = 1.7 or 1.1 > 1: the root is strictly
+        # below w_0; in the second case every |d_i| <= delta_i, so t starts at 0
+        for d in ([0.0, 0.3, 0.4], [0.0, 0.15, 0.4]):
+            assert self.certified_multiplier([0.1, 0.3, 0.6], d, rng) < 0.1
+
+    def test_near_hard_case(self, rng):
+        # |(H - w_0)^+ J| = 0.78 off the bottom, and d_0 down to 1e-296
+        for k in range(4, 297):
+            self.certified_multiplier([0.2, 0.3, 0.5], [10.0 ** -k, 0.06, 0.15], rng)
+
+    def test_root_below_one_ulp_of_the_bottom(self, rng):
+        # t ~ 1.8e-20 < ulp(0.25): w_0 - lam rounds to 0, t + delta does not
+        lam = self.certified_multiplier([0.25, 0.35, 0.4], [1e-20, 0.05, 0.1], rng)
+        assert lam == 0.25
+
+    def test_ill_conditioned_and_repeated_bottom(self, rng):
+        for cond in (1e3, 1e6, 1e9, 1e12):
+            w = np.array([1.0 / cond, 0.3, 1.0])
+            for _ in range(5):
+                d = rng.standard_normal(3) * 10.0 ** rng.uniform(-4.0, 0.0)
+                self.certified_multiplier((w / w.sum()).tolist(), (d / w.sum()).tolist(), rng)
+        for d in ([0.05, -0.02, 0.1], [0.0, 0.0, 0.1], [0.0, 0.0, 0.5]):
+            self.certified_multiplier([0.2, 0.2, 0.6], d, rng)
+
     def test_rejects_bad_inputs(self):
         with pytest.raises(ValidationError):
             min_quadratic_on_sphere(np.diag([-1.0, 1.0, 1.0]), np.zeros(3))
@@ -194,7 +274,7 @@ class TestMinQuadraticOnSphere:
 
     @pytest.mark.parametrize("h_entry, k_entry", [(1.0, np.nan), (np.inf, 0.0), (np.nan, 0.0)])
     def test_rejects_non_finite_inputs(self, h_entry, k_entry):
-        # a NaN k used to reach the 6x6 eigvals and leak numpy's LinAlgError
+        # a NaN k must be refused before it reaches the eigensolve or the multiplier
         h_mat = np.eye(3)
         h_mat[0, 0] = h_entry
         with pytest.raises(ValidationError, match="finite"):
@@ -313,10 +393,11 @@ class TestEnhancementFactor:
         assert len(calls) == 1
 
 
-@pytest.mark.parametrize("method", [METHOD_DIRECT, METHOD_BOTH, METHOD_CLOSED_FORM])
-def test_one_real_eigh_and_one_pencil_eigvals(monkeypatch, method):
+@pytest.mark.parametrize("method", [METHOD_DIRECT, METHOD_BOTH, METHOD_CLOSED_FORM, "SPHERE"])
+def test_one_real_eigh_and_no_other_lapack_call(monkeypatch, method):
     # every path works in the eigenbasis of one real 3x3 eigh; the complex,
-    # phase-fixed hermitian_eig and a linear solve for H^-1 J are not used
+    # phase-fixed hermitian_eig, a multiplier eigenproblem and a linear solve
+    # for H^-1 J are not used
     ms = random_low_noise(1, num_m=3).noise_ops
     calls = []
 
@@ -328,12 +409,15 @@ def test_one_real_eigh_and_one_pencil_eigvals(monkeypatch, method):
             return original(a, *args, **kwargs)
         return call
 
-    for name in ("eigh", "eigvals", "solve"):
+    for name in ("eigh", "eigvals", "eigvalsh", "solve"):
         monkeypatch.setattr(np.linalg, name, counted(name))
     monkeypatch.setattr(linalg, "hermitian_eig", None)
-    report = enhancement_factor(ms, method=method)
-    assert report.regime == REGIME_INSIDE_BALL
-    assert calls == [("eigh", (3, 3), np.float64), ("eigvals", (6, 6), np.float64)]
+    if method == "SPHERE":
+        geom = noise_geometry(ms)
+        min_quadratic_on_sphere(geom.h, geom.jvec)
+    else:
+        assert enhancement_factor(ms, method=method).regime == REGIME_INSIDE_BALL
+    assert calls == [("eigh", (3, 3), np.float64)]
 
 
 class TestAttainability:
