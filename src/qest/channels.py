@@ -292,8 +292,8 @@ def family_from_low_noise(ln: LowNoiseChannel) -> ChannelFamily:
         return KrausChannel(dim=ln.dim, kraus=tuple(kraus))
 
     def derivative(eps: float) -> list[np.ndarray]:
-        cs = ln.generator(float(eps))[1]
-        return [*ln.b_derivative(float(eps)), *(np.asarray(c) * (0.5 / np.sqrt(eps)) for c in cs)]
+        # C(eps) = C(0) = the noise operators, as b_derivative requires eps-free C's
+        return [*ln.b_derivative(float(eps)), *(c * (0.5 / np.sqrt(eps)) for c in ln.noise_ops)]
 
     return ChannelFamily(parameter="epsilon", validity=ln.validity, build=build, dim=ln.dim,
                          derivative=None if ln.b_derivative is None else derivative)

@@ -250,7 +250,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("file")
     p.add_argument("--method", choices=sorted(_METHODS), default="direct")
     p.add_argument("--grid", type=int, default=None,
-                   help="also run the brute-force search with this grid size")
+                   help="also run the brute-force search on this many sphere grid points")
     p.set_defaults(func=cmd_eta)
 
     p = sub.add_parser("qfi", help="quantum Fisher information at one parameter value")

@@ -334,28 +334,25 @@ def enhancement_factor(noise_ops, method: str = METHOD_DIRECT) -> EnhancementRep
 def eta_bruteforce(noise_ops, grid_size: int = 10_000) -> float:
     """Enhancement factor by exhaustive search, independent of the geometry.
 
-    Maximizes the leading coefficient over a Fibonacci grid of pure states and
-    over a radial-by-spherical grid of the solid ball (reduced states of
-    extended inputs; a qubit ancilla suffices), each winner refined by
-    :func:`~qest.linalg.pattern_search` on the sphere and in the ball, which
-    polls 12 directions at two step scales per round down to a step of 1e-9.
-    Each evaluation is the contraction that :func:`leading_qfi_coefficient`
-    uses.
+    Maximizes the leading coefficient, the contraction of :func:`leading_qfi_coefficient`
+    on the operators over :func:`~qest.channels.noise_unit` (so scale free), on
+    ``grid_size`` Fibonacci pure states, refined by :func:`~qest.linalg.pattern_search`
+    (12 directions at two step scales per round, down to a step of 1e-9).  On the
+    solid ball (reduced states of extended inputs; a qubit ancilla suffices) it is
+    linear minus squared moduli of linear functions, so concave: every local maximum
+    is global, and the ball search starts from the better of the sphere winner and
+    the centre, with no grid.
     """
     if grid_size < 1000:
         raise ValidationError(f"grid_size must be at least 1000, got {grid_size}")
-    ms, _ = as_noise_ops(noise_ops, dim=2)
-    kernel = _leading_kernel(ms)
+    stack = _qubit_stack(noise_ops)
+    kernel = _leading_kernel(stack / noise_unit(stack))
 
     def coeff(xs):
         return kernel(bloch_to_density(xs).reshape(np.shape(xs)[:-1] + (4,)))
 
-    dirs = fibonacci_sphere(grid_size)
-    _, best_sphere = pattern_search(coeff, dirs, to_sphere)
-
-    radii = np.linspace(0.0, 1.0, 16)
-    ball_pts = np.concatenate([r * dirs for r in radii if r > 0] + [np.zeros((1, 3))])
-    _, best_ball = pattern_search(coeff, ball_pts, to_ball)
+    x_sphere, best_sphere = pattern_search(coeff, fibonacci_sphere(grid_size), to_sphere)
+    _, best_ball = pattern_search(coeff, np.array([x_sphere, np.zeros(3)]), to_ball)
     best_ball = max(best_ball, best_sphere)
 
     if best_sphere <= 0.0:

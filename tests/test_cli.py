@@ -408,6 +408,14 @@ class TestOperatorScale:
         assert err == ""
         assert abs(json.loads(out)["eta"] - enhancement_factor(random_low_noise(42).noise_ops).eta) < 1e-12
 
+    def test_tiny_demo_brute_force(self, tmp_path, capsys):
+        assert main(["demo", "random", "--scale", "1e-170"]) == 0
+        path = tmp_path / "tiny.json"
+        path.write_text(capsys.readouterr().out, encoding="utf-8")
+        assert main(["eta", str(path), "--grid", "1000"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert abs(report["eta_bruteforce"] - report["eta"]) <= 1e-4
+
     def test_tiny_demo_validates(self, tmp_path, capsys):
         assert main(["demo", "random", "--scale", "1e-170"]) == 0
         path = tmp_path / "tiny.json"

@@ -492,6 +492,13 @@ class TestScaleInvariance:
                 scaled.leading_pure, scale**2 * plain.leading_pure, rtol=1e-12
             )
 
+    @pytest.mark.parametrize("scale", [1e-300, 1e-170, 1e-150, 1e-8, 1e4, 1e150, 1e200])
+    def test_bruteforce_ignores_operator_scale(self, scale):
+        # unscaled, the Gram entries underflow near 1e-170 and the noise sum
+        # overflows near 1e200, with a vanishing or NaN leading coefficient
+        for ms in (depolarizing().noise_ops, random_low_noise(5, num_m=6).noise_ops):
+            plain = eta_bruteforce(ms, 1000)
+            assert abs(eta_bruteforce([scale * m for m in ms], 1000) - plain) <= 1e-12
 
     @pytest.mark.parametrize("entry", [np.nan, np.inf, complex(0.0, -np.inf)])
     def test_refuses_non_finite_operators(self, entry):
@@ -580,8 +587,21 @@ class TestBruteForce:
         with pytest.raises(ValidationError):
             eta_bruteforce(depolarizing().noise_ops, 999)
 
+    def test_no_batch_exceeds_the_sphere_grid(self, monkeypatch):
+        # the leading coefficient is concave on the ball, so the ball search
+        # starts from two points and builds no grid of its own
+        sizes = []
+
+        def recording(xs):
+            sizes.append(len(xs))
+            return bloch_to_density(xs)
+
+        monkeypatch.setattr(lownoise, "bloch_to_density", recording)
+        eta_bruteforce(random_low_noise(0, num_m=3).noise_ops, 1000)
+        assert sizes and max(sizes) <= 1000
+
     def test_peak_memory_does_not_grow_with_operator_count(self):
-        # the ball grid is 15 x grid_size states; a temporary per noise
+        # the sphere grid is grid_size states; a temporary per noise
         # operator on it would make six operators cost ~40% more than one
         peaks = []
         for num_m in (1, 6):
