@@ -9,7 +9,8 @@ epsilon inside the validity interval yields an exactly trace-preserving
 channel rather than a truncated series.
 
 :func:`from_noise_operators` is the one canonical build, ``B(eps) = sqrt(I -
-eps sum M^dag M)``; channel files, random channels and depolarizing use it.
+eps sum M^dag M)`` from one unchecked eigensolve of the noise sum, checking
+the operators once; channel files, random channels and depolarizing use it.
 :func:`validate_trace_preserving` is the one trace-preservation residual, and
 :meth:`ChannelFamily.evaluate` the one place it is checked: every family point,
 low-noise, unitary or ancilla-extended, is refused outside its validity
@@ -25,7 +26,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import ParameterRangeError, ValidationError
-from .linalg import dagger, hermitian_eig
+from .linalg import dagger, eigh
 
 #: generator(eps) -> (B_list, C_list); the channel's Kraus operators are the
 #: B's plus sqrt(eps) times each C.
@@ -119,7 +120,8 @@ class LowNoiseChannel:
     any eps in ``validity``; ``kappas``, ``first_order`` and ``noise_ops`` are
     the expansion data (B_a(0) = kappa_a I, first_order_a = -B_a'(0),
     noise_ops_alpha = C_alpha(0)).  ``b_derivative(eps)``, if given, is dB/deps
-    of the generator's B's, for a generator whose C's do not depend on eps."""
+    of the generator's B's, for a generator whose C's do not depend on eps.
+    Operators are kept as read-only complex copies, shape-checked by the builder."""
 
     dim: int
     kappas: tuple[complex, ...]
@@ -134,10 +136,6 @@ class LowNoiseChannel:
         n1 = tuple(np.array(m, dtype=complex) for m in self.first_order)
         ms = tuple(np.array(m, dtype=complex) for m in self.noise_ops)
         for m in n1 + ms:
-            if m.shape != (self.dim, self.dim):
-                raise ValidationError(
-                    f"operator shape {m.shape} does not match dim {self.dim}"
-                )
             m.setflags(write=False)
         object.__setattr__(self, "first_order", n1)
         object.__setattr__(self, "noise_ops", ms)
@@ -209,14 +207,17 @@ def from_noise_operators(noise_ops, name: str = "low_noise") -> LowNoiseChannel:
     The single-B generator ``B(eps) = sqrt(I - eps * sum_alpha M^dag M)``
     (principal square root) is trace preserving exactly for every eps below
     ``1/lambda_max`` of the noise sum, and valid up to 90% of that; it gives
-    kappa = (1,) and half the noise sum as first-order correction.  The sum is
-    formed in units of :func:`noise_unit` squared; one that overflows is refused.
+    kappa = (1,) and half the noise sum as first-order correction.  The sum,
+    one einsum in units of :func:`noise_unit` (Hermitian by construction), has
+    one unchecked ``eigh``; one that vanishes or overflows is refused.
     """
     ms, dim = as_noise_ops(noise_ops)
-    unit = noise_unit(ms)
-    s = sum(dagger(m / unit) @ (m / unit) for m in ms)  # the noise sum / unit^2
-    w, v = hermitian_eig(s)
-    lam_max = float(np.max(w))
+    scaled = np.array(ms)
+    unit = noise_unit(scaled)
+    scaled /= unit
+    s = np.einsum("kji,kjl->il", scaled.conj(), scaled)  # the noise sum / unit^2
+    w, v = eigh(s)
+    lam_max = float(w[-1])
     if lam_max <= 0.0:
         raise ValidationError("all noise operators vanish; the family is trivial")
     if math.isinf(lam_max * unit * unit):

@@ -6,17 +6,18 @@ coefficient at input rho is
     L(rho) = sum_alpha [ tr(rho M^dag M) - |tr(rho M)|^2 ]
 
 with M the noise operators.  On a qubit this reduces to a quadratic form on
-the Bloch ball: writing each M in the Pauli basis gives three complex vectors
-mu_a, their Gram matrix g, its real part H (positive semidefinite) and the
-axial vector J built from its imaginary part, and then
+the Bloch ball: the Pauli coordinates of the M have a 4x4 Gram matrix, whose
+sigma block g has real part H (positive semidefinite); its imaginary part
+gives the axial vector J, and then
 
     L(x) = tr H - x.H x - 2 J.x .
 
 The enhancement factor eta is the ratio of the maximum of L over the solid
 ball (reduced states of ancilla-extended pure inputs) to the maximum over the
 unit sphere (unextended pure inputs).  For every qubit channel it lies in
-[1, 3/2].  :func:`enhancement_factor` takes one real eigensolve of H/tr H and
-finds the sphere multiplier by Newton's method on the secular equation.
+[1, 3/2].  :func:`enhancement_factor` scales the operators by a power of two,
+then forms that Gram matrix and reads it once into Python floats: one real
+eigensolve of H/tr H, then Newton's method on the secular equation.
 """
 
 from __future__ import annotations
@@ -134,15 +135,20 @@ def _qubit_stack(noise_ops) -> np.ndarray:
     return np.array(as_noise_ops(noise_ops, dim=2)[0])
 
 
+def _pauli_gram(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Coordinates ``c = tr(sigma_mu M)/2`` (a row per operator, identity first)
+    and their 4x4 Gram matrix ``G = c^dag c``: g is ``G[1:, 1:]``, |M|^2 is 2 tr G."""
+    c = pauli_coords(stack) / 2.0
+    return c, c.conj().T @ c
+
+
 def noise_geometry(noise_ops) -> NoiseGeometry:
-    """Pauli reduction (mu, g, H, J) of qubit noise operators: ``mu`` is
-    ``tr(sigma_a M)/2``, from one batched :func:`~qest.linalg.pauli_coords`."""
-    stack = _qubit_stack(noise_ops)
-    mu = pauli_coords(stack)[:, 1:].T / 2.0
-    g = np.conj(mu) @ mu.T
-    h = 0.5 * (g.real + g.real.T)
+    """Pauli reduction (mu, g, H, J) of qubit noise operators, read off the Gram
+    matrix of their Pauli coordinates (:func:`~qest.linalg.pauli_coords`)."""
+    c, gram = _pauli_gram(_qubit_stack(noise_ops))
+    g = gram[1:, 1:]
     jvec = np.array([g[1, 2].imag, g[2, 0].imag, g[0, 1].imag])
-    return NoiseGeometry(mu=mu, g=g, h=h, jvec=jvec)
+    return NoiseGeometry(mu=c[:, 1:].T, g=g, h=0.5 * (g.real + g.real.T), jvec=jvec)
 
 
 def quadratic_form(geom: NoiseGeometry, x: np.ndarray) -> float:
@@ -187,11 +193,13 @@ def _sphere_min(w, v, c):
     delta = [wi - w[0] for wi in w]  # t + delta, not w - lam: t may be below one ulp of w_min
     terms = [(di, de) for di, de in zip(d, delta) if di]
     t = max([0.0] + [abs(di) - de for di, de in terms])
-    hard = t == 0.0 and sum((di / de) ** 2 for di, de in terms) <= 1.0
+    hard = t == 0.0 and sum([(di / de) ** 2 for di, de in terms]) <= 1.0
     for _ in range(0 if hard else 100):
-        y2 = [((di / (t + de)) ** 2, t + de) for di, de in terms]
-        norm2 = sum(yy for yy, _ in y2)
-        step = (math.sqrt(norm2) - 1.0) * norm2 / sum(yy / s for yy, s in y2)  # -psi / psi'
+        norm2 = slope = 0.0  # |y|^2 and sum y_i^2 / (t + delta_i)
+        for di, de in terms:
+            yy = (di / (t + de)) ** 2
+            norm2, slope = norm2 + yy, slope + yy / (t + de)
+        step = (math.sqrt(norm2) - 1.0) * norm2 / slope  # -psi / psi'
         if not t + step > t:
             break
         t += step
@@ -200,11 +208,11 @@ def _sphere_min(w, v, c):
     if hard:  # the rest of the norm along -d, or along v[:, 0] (largest entry positive)
         fill = [-di if b else 0.0 for di, b in zip(d, bottom)]
         fill[0] = fill[0] if any(fill) else math.copysign(1.0, max((r[0] for r in v), key=abs))
-        rest, size = math.sqrt(max(0.0, 1.0 - sum(yi * yi for yi in y))), math.hypot(*fill)
+        rest, size = math.sqrt(max(0.0, 1.0 - sum([yi * yi for yi in y]))), math.hypot(*fill)
         y = [yi + rest * (f / size) for yi, f in zip(y, fill)]  # hypot does not underflow
     norm = math.hypot(*y)
     y = [yi / norm for yi in y]
-    value = sum(wi * yi * yi for wi, yi in zip(w, y)) + 2.0 * sum(di * yi for di, yi in zip(d, y))
+    value = sum([yi * (wi * yi + 2.0 * di) for wi, yi, di in zip(w, y, d)])
     return value, np.array(_dots(v, y)), w[0] - t
 
 
@@ -236,44 +244,37 @@ def min_quadratic_on_sphere(h_mat: np.ndarray, k: np.ndarray) -> tuple[float, np
 # ---------------------------------------------------------------------------
 #
 # Below, H and J are in units of tr H, and so are the leading coefficients
-# until enhancement_factor multiplies them back.  H = v diag(w) v^T, and
-# d = v^T J is J in that eigenbasis; no result depends on the signs of v.
+# until enhancement_factor multiplies them back.  H = v diag(w) v^T; in that
+# eigenbasis d = v^T J is J and k is H^+ J (the pseudo-inverse over eigenvalues
+# above SINGULAR_REL_TOL), jk = J.H^+ J; no result depends on the signs of v.
 
 
-def _ball_max(w, v, d, leading_pure, x_sphere):
-    """Ball maximum of the leading coefficient and its argument.  The objective
-    is concave: its stationary point ``-H^+ J`` (H^+ the pseudo-inverse over
-    eigenvalues above SINGULAR_REL_TOL) counts if ``H x = -J`` holds there and
-    it lies in the ball; otherwise the maximum is the sphere's."""
-    k = [di / wi if wi > SINGULAR_REL_TOL * w[2] else 0.0 for di, wi in zip(d, w)]  # H^+ J
-    resid, norm0 = math.hypot(*(di - wi * ki for di, wi, ki in zip(d, w, k))), math.hypot(*k)
-    if resid <= 1e-10 and norm0 <= 1.0 + 1e-12:  # resid = |H x + J| at x = -v k
-        leading_extended = 1.0 + sum(di * ki for di, ki in zip(d, k))
-        if leading_extended >= leading_pure:  # the ball contains the sphere
-            return leading_extended, np.array(_dots(v, [-ki / max(1.0, norm0) for ki in k]))
+def _ball_max(w, v, d, k, jk, leading_pure, x_sphere):
+    """Ball maximum and its argument.  The objective is concave: its stationary point
+    ``x = -H^+ J`` counts if ``H x = -J`` holds and x is in the ball, else the sphere's."""
+    resid = math.hypot(d[0] - w[0] * k[0], d[1] - w[1] * k[1], d[2] - w[2] * k[2])
+    norm0 = math.hypot(*k)
+    if resid <= 1e-10 and norm0 <= 1.0 + 1e-12 and 1.0 + jk >= leading_pure:  # ball contains sphere
+        return 1.0 + jk, np.array(_dots(v, [-ki / max(1.0, norm0) for ki in k]))
     return leading_pure, x_sphere
 
 
-def _classify(jvec, w, d):
+def _classify(jvec, w, k):
     if math.hypot(*jvec) <= 1e-12:
         return REGIME_J_ZERO
     if w[0] <= SINGULAR_REL_TOL * w[2]:
         return REGIME_SINGULAR_H
-    k = math.hypot(*(di / wi for di, wi in zip(d, w)))
-    return REGIME_INSIDE_BALL if k <= 1.0 else REGIME_OUTSIDE_BALL
+    return REGIME_INSIDE_BALL if math.hypot(*k) <= 1.0 else REGIME_OUTSIDE_BALL
 
 
-def _closed_form(w, v, d, regime, sphere_min, x_sphere):
+def _closed_form(v, k, jk, regime, sphere_min, x_sphere):
     """``(eta, leading_extended, x_ball)`` from the H^-1 expression of the regime."""
     if regime == REGIME_J_ZERO:
         return 1.0 / (1.0 - sphere_min), 1.0, np.zeros(3)
     if regime == REGIME_OUTSIDE_BALL:
         return 1.0, 1.0 - sphere_min, x_sphere
-    # inside the ball the minimum of (x+k).H(x+k) is zero, at x = -k = -H^-1 J,
-    # while its sphere minimum is sphere_min + J.k
-    k = [di / wi for di, wi in zip(d, w)]
-    jhj = sum(di * ki for di, ki in zip(d, k))
-    return (1.0 + jhj) / (1.0 - sphere_min), 1.0 + jhj, np.array(_dots(v, [-ki for ki in k]))
+    # inside the ball (x+k).H(x+k) is 0 at x = -k = -H^-1 J; its sphere minimum is sphere_min + J.k
+    return (1.0 + jk) / (1.0 - sphere_min), 1.0 + jk, np.array(_dots(v, [-ki for ki in k]))
 
 
 def enhancement_factor(noise_ops, method: str = METHOD_DIRECT) -> EnhancementReport:
@@ -284,43 +285,43 @@ def enhancement_factor(noise_ops, method: str = METHOD_DIRECT) -> EnhancementRep
     of H (always applicable); CLOSED_FORM uses the H^-1 expression and the
     regime split, BOTH runs both and records their discrepancy.  The ratio always lies in [1, 3/2].
 
-    Non-finite operators are refused.  An exact power-of-two scaling, then tr H,
-    make every threshold relative, so eta does not depend on the scale of the
-    operators; the leading coefficients are reported in their units (inf or 0
-    past entries of about 1e154 or 1e-162).  H/tr H has one real eigensolve and
+    Non-finite operators are refused.  The Pauli Gram matrix is formed after an
+    exact power-of-two scaling, then tr H makes every threshold relative, so eta
+    does not depend on the operators' scale; the leading coefficients are in
+    their units (inf or 0 past entries of about 1e154 or 1e-162).  One read of
+    the Gram matrix, then Python floats around one real eigensolve of H/tr H and
     one sphere minimum (Newton on the secular equation), shared by both paths.
     """
     if method not in (METHOD_CLOSED_FORM, METHOD_DIRECT, METHOD_BOTH):
         raise ValidationError(f"unknown method {method!r}")
     stack = _qubit_stack(noise_ops)
     unit = noise_unit(stack)
-    stack = stack / unit
-    geom = noise_geometry(stack)
-    tr_h = float(geom.h.trace())
-    if tr_h <= 1e-12 * float(np.vdot(stack, stack).real):
-        raise DegenerateChannelError(
-            "every noise operator is proportional to the identity; "
-            "the leading coefficient vanishes for all inputs"
-        )
+    gram = _pauli_gram(stack / unit)[1]
+    g = gram.tolist()
+    tr_h = g[1][1].real + g[2][2].real + g[3][3].real
+    if tr_h <= 2e-12 * (g[0][0].real + tr_h):  # 1e-12 |M|^2
+        raise DegenerateChannelError("every noise operator is proportional to the identity; "
+                                     "the leading coefficient vanishes for all inputs")
 
-    w, v = eigh(geom.h / tr_h)
-    w, v, jvec = w.tolist(), v.tolist(), (geom.jvec / tr_h).tolist()
+    w, v = map(np.ndarray.tolist, eigh(gram[1:, 1:].real / tr_h))
+    jvec = [g[2][3].imag / tr_h, g[3][1].imag / tr_h, g[1][2].imag / tr_h]  # Im (g23, g31, g12)
     d = _dots(zip(*v), jvec)
-    regime = _classify(jvec, w, d)
+    k = [di / wi if wi > SINGULAR_REL_TOL * w[2] else 0.0 for di, wi in zip(d, w)]
+    jk = d[0] * k[0] + d[1] * k[1] + d[2] * k[2]
+    regime = _classify(jvec, w, k)
     if method != METHOD_DIRECT and regime == REGIME_SINGULAR_H:
-        raise SingularGeometryError(
-            "noise metric is singular; the closed form needs H^-1, use the direct method"
-        )
+        raise SingularGeometryError("noise metric is singular; the closed form needs H^-1, "
+                                    "use the direct method")
     sphere_min, x_sphere, _ = _sphere_min(w, v, jvec)
     pure = 1.0 - sphere_min
     agreement = None
     if method == METHOD_CLOSED_FORM:
-        eta, extended, x_ball = _closed_form(w, v, d, regime, sphere_min, x_sphere)
+        eta, extended, x_ball = _closed_form(v, k, jk, regime, sphere_min, x_sphere)
     else:
-        extended, x_ball = _ball_max(w, v, d, pure, x_sphere)
+        extended, x_ball = _ball_max(w, v, d, k, jk, pure, x_sphere)
         eta = extended / pure
         if method == METHOD_BOTH:
-            eta_cf, _, x_ball_cf = _closed_form(w, v, d, regime, sphere_min, x_sphere)
+            eta_cf, _, x_ball_cf = _closed_form(v, k, jk, regime, sphere_min, x_sphere)
             agreement = abs(eta - eta_cf)
             if regime != REGIME_OUTSIDE_BALL:
                 x_ball = x_ball_cf

@@ -243,6 +243,26 @@ class TestKrausDerivative:
                                        QfiEvaluator(build_only, eps)._map, rtol=0, atol=1e-9)
 
 
+def test_canonical_build_is_one_unchecked_eigh(monkeypatch):
+    # the noise sum is Hermitian by construction: no Hermiticity check, no
+    # phase convention, one eigensolve of the 2x2 sum
+    ms = random_low_noise(4, num_m=3).noise_ops
+    calls = []
+    original = np.linalg.eigh
+
+    def recorded(a, *args, **kwargs):
+        calls.append(("eigh", a.shape, a.dtype))
+        return original(a, *args, **kwargs)
+
+    def refused(*args, **kwargs):
+        raise AssertionError("the canonical build checks Hermiticity")
+
+    monkeypatch.setattr(np.linalg, "eigh", recorded)
+    monkeypatch.setattr(qest.linalg, "check_hermitian", refused)
+    from_noise_operators(ms)
+    assert calls == [("eigh", (2, 2), np.complex128)]
+
+
 class TestNoiseOperatorValidation:
     @pytest.mark.parametrize(
         "ops",

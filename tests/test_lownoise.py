@@ -500,6 +500,18 @@ class TestScaleInvariance:
             plain = eta_bruteforce(ms, 1000)
             assert abs(eta_bruteforce([scale * m for m in ms], 1000) - plain) <= 1e-12
 
+    @pytest.mark.parametrize("seed", range(4))
+    def test_peak_entry_near_overflow(self, seed):
+        # the operators are scaled before their Pauli coordinates are taken:
+        # sums of entries near 1.7e308, or their Gram products, would overflow
+        ms = np.array(random_low_noise(seed, num_m=3).noise_ops)
+        plain = enhancement_factor(ms)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            huge = enhancement_factor(ms * (1.7e308 / np.abs(ms).max()))
+        assert huge.regime == plain.regime
+        assert abs(huge.eta - plain.eta) <= 1e-12
+
     @pytest.mark.parametrize("entry", [np.nan, np.inf, complex(0.0, -np.inf)])
     def test_refuses_non_finite_operators(self, entry):
         ms = [np.array(m) for m in random_low_noise(2, num_m=3).noise_ops]
