@@ -11,7 +11,6 @@ from .channels import (
     extend_with_ancilla,
     family_from_low_noise,
     from_noise_operators,
-    identity_channel,
     instantiate,
     validate_first_order,
     validate_trace_preserving,
@@ -20,7 +19,6 @@ from .errors import (
     ConvergenceError,
     DegenerateChannelError,
     DegenerateFamilyError,
-    DegenerateFamilyWarning,
     ParameterRangeError,
     QestError,
     SchemaError,
@@ -39,11 +37,9 @@ from .estimation import (
 from .linalg import (
     bloch_to_density,
     dagger,
-    density_to_bloch,
     fibonacci_sphere,
     hermitian_eig,
     partial_trace,
-    pauli_decompose,
     pure_to_density,
     tensor_product,
 )
@@ -53,7 +49,6 @@ from .lownoise import (
     enhancement_factor,
     eta_bruteforce,
     leading_qfi_coefficient,
-    min_quadratic_on_sphere,
     noise_geometry,
     optimal_input_states,
     quadratic_form,
@@ -61,9 +56,7 @@ from .lownoise import (
 from .unitary import (
     UnitaryFamily,
     log_hamiltonian,
-    no_enhancement_check,
     unitary_channel_family,
-    unitary_qfi,
     unitary_qfi_max,
 )
 

@@ -72,10 +72,6 @@ def transfer_matrix(left: np.ndarray, right: np.ndarray) -> np.ndarray:
     return np.einsum("kab,kdc->adbc", left, np.conj(right)).reshape(d2, d2)
 
 
-def identity_channel(dim: int) -> KrausChannel:
-    return KrausChannel(dim=dim, kraus=(np.eye(dim, dtype=complex),))
-
-
 def apply_channel(ch: KrausChannel, rho: np.ndarray) -> np.ndarray:
     """Apply ``sum_k K rho K^dag`` to a state or a stack ``(..., d, d)``.
 

@@ -35,7 +35,3 @@ class SingularGeometryError(QestError, ValueError):
 
 class ConvergenceError(QestError, RuntimeError):
     """An iterative kernel failed to converge within its sweep budget."""
-
-
-class DegenerateFamilyWarning(UserWarning):
-    """Emitted when a ratio is reported by convention for a zero-information family."""

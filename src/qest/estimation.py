@@ -34,7 +34,6 @@ import numpy as np
 from .channels import ChannelFamily, transfer_matrix
 from .errors import DegenerateFamilyError, ParameterRangeError, ValidationError
 from .linalg import (
-    bloch_angles,
     bloch_state,
     bloch_to_density,
     check_hermitian,
@@ -303,13 +302,13 @@ def maximize_qfi_pure(
         raise ValidationError(f"pure-state search supports dim 2 or 4, got {dim}")
     if family.dim != dim:
         raise ValidationError(f"family dimension {family.dim} != requested dim {dim}")
+    if cfg.sphere_points < 1 or cfg.schmidt_points < 1:
+        raise ValidationError(f"search grids need at least one point, got {cfg}")
     ev = QfiEvaluator(family, theta)
 
     if dim == 2:
-        grid, project, inputs = fibonacci_sphere(cfg.sphere_points), to_sphere, bloch_to_density
-
-        def state(x):
-            return bloch_state(*bloch_angles(x))
+        grid, project, inputs, state = (fibonacci_sphere(cfg.sphere_points), to_sphere,
+                                        bloch_to_density, bloch_state)
     else:
         n = cfg.schmidt_points
         radii = np.cos(np.linspace(0.0, np.pi, n)[: (n + 1) // 2])

@@ -129,17 +129,6 @@ def pauli_coords(m: np.ndarray) -> np.ndarray:
     return (m.reshape(-1, 4) @ PAULI_BASIS.conj()).reshape(m.shape[:-2] + (4,))
 
 
-def pauli_decompose(m: np.ndarray) -> tuple[complex, complex, complex, complex]:
-    """Coefficients (m0, m1, m2, m3) with ``m = m0 I + m1 sx + m2 sy + m3 sz``.
-
-    The expansion is unique for any 2x2 complex matrix; coefficients are
-    m0 = tr(m)/2 and ma = tr(sigma_a m)/2.
-    """
-    if np.shape(m) != (2, 2):
-        raise ValidationError(f"pauli_decompose needs a 2x2 matrix, got shape {np.shape(m)}")
-    return tuple(complex(c) for c in pauli_coords(m) / 2.0)
-
-
 def check_bloch(x: np.ndarray) -> np.ndarray:
     """``x`` as float Bloch vectors, batched, each of 3 finite components and
     norm <= 1 + 1e-9."""
@@ -162,22 +151,12 @@ def bloch_to_density(x: np.ndarray) -> np.ndarray:
     return vec.reshape(x.shape[:-1] + (2, 2))
 
 
-def density_to_bloch(rho: np.ndarray) -> np.ndarray:
-    """Inverse of :func:`bloch_to_density`; exact round trip to working precision."""
-    return pauli_coords(rho)[..., 1:].real
-
-
-def bloch_angles(x: np.ndarray) -> tuple[float, float]:
-    """Polar and azimuthal angle of a nonzero Bloch vector."""
+def bloch_state(x: np.ndarray) -> np.ndarray:
+    """Pure qubit state ``(cos(polar/2), e^(i azim) sin(polar/2))`` along the
+    polar and azimuthal angles of a nonzero Bloch vector."""
     polar = float(np.arccos(np.clip(x[2] / max(np.linalg.norm(x), 1e-300), -1.0, 1.0)))
     azim = float(np.arctan2(x[1], x[0]))
-    return polar, azim
-
-
-def bloch_state(polar, azim) -> np.ndarray:
-    """Pure qubit state(s) with Bloch vector at the given polar and azimuthal
-    angles, batched over angle arrays of one shape."""
-    return np.stack([np.cos(polar / 2.0) + 0j, np.exp(1j * azim) * np.sin(polar / 2.0)], axis=-1)
+    return np.array([np.cos(polar / 2.0) + 0j, np.exp(1j * azim) * np.sin(polar / 2.0)])
 
 
 def pure_to_density(psi: np.ndarray) -> np.ndarray:

@@ -34,10 +34,8 @@ from .errors import (
     ValidationError,
 )
 from .linalg import (
-    bloch_angles,
     bloch_state,
     bloch_to_density,
-    check_hermitian,
     dagger,
     eigh,
     fibonacci_sphere,
@@ -216,29 +214,6 @@ def _sphere_min(w, v, c):
     return value, np.array(_dots(v, y)), w[0] - t
 
 
-def min_quadratic_on_sphere(h_mat: np.ndarray, k: np.ndarray) -> tuple[float, np.ndarray]:
-    """Minimize ``(x + k) . H (x + k)`` over unit vectors x.
-
-    H must be finite, symmetric and positive semidefinite, and k finite.
-    Solved in units of tr H by :func:`enhancement_factor`'s real eigensolve
-    and trust-region solution: the Lagrange multiplier is the root of the secular
-    equation that Newton's method reaches from below, at most min eig H.
-    """
-    h_mat = np.asarray(h_mat, dtype=float)
-    k = np.asarray(k, dtype=float)
-    if h_mat.shape != (3, 3) or k.shape != (3,):
-        raise ValidationError("expected a 3x3 matrix and a 3-vector")
-    check_hermitian(h_mat, what="H")
-    if not np.isfinite(k).all():
-        raise ValidationError("k must have finite entries")
-    w, v = eigh(0.5 * (h_mat + h_mat.T))
-    if float(w[0]) < -1e-9 * max(1.0, float(w[-1])):
-        raise ValidationError(f"H must be positive semidefinite, min eigenvalue {float(w[0]):.3e}")
-    scale = float(np.sum(np.abs(w))) or 1.0  # tr H, up to roundoff; H = 0 keeps 1
-    val, x, _ = _sphere_min((w / scale).tolist(), v.tolist(), (h_mat @ k / scale).tolist())
-    return scale * val + float(k @ h_mat @ k), x
-
-
 # ---------------------------------------------------------------------------
 # enhancement factor
 # ---------------------------------------------------------------------------
@@ -370,7 +345,7 @@ def optimal_input_states(report: EnhancementReport) -> tuple[np.ndarray, np.ndar
     the eigenvalues of sigma.
     """
     xs = np.asarray(report.x_sphere, dtype=float)
-    pure = bloch_state(*bloch_angles(xs))
+    pure = bloch_state(xs)
 
     extended = purification(np.asarray(report.x_ball, dtype=float))
     extended /= np.linalg.norm(extended)

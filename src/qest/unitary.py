@@ -5,8 +5,8 @@ times the variance of the generator H = i (dU/dtheta) U^dag, and the maximum
 over probes is the squared spectral gap of H.  dU/dtheta is the package's one
 finite-difference rule, :func:`qest.estimation.richardson_derivative`, at the
 fixed step ``GENERATOR_FD_STEP``.  Extending by an ancilla does
-not change that maximum; :func:`no_enhancement_check` verifies this
-numerically through the generic search pipeline.
+not change that maximum (Fujiwara & Imai, J. Phys. A 41, 255304, 2008);
+acceptance criterion C07 checks this through the generic search pipeline.
 
 Unitarity is trace preservation of ``rho -> U rho U^dag``, so
 :meth:`UnitaryFamily.evaluate` checks it with the package's one
@@ -16,16 +16,15 @@ trace-preservation check, :meth:`~qest.channels.ChannelFamily.evaluate`.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-from .channels import ChannelFamily, KrausChannel, extend_family
-from .errors import DegenerateFamilyWarning, ValidationError
-from .estimation import SearchConfig, maximize_qfi_pure, richardson_derivative
-from .linalg import check_hermitian, dagger, hermitian_eig
+from .channels import ChannelFamily, KrausChannel
+from .errors import ValidationError
+from .estimation import richardson_derivative
+from .linalg import dagger, hermitian_eig
 
 #: step of the generator's derivative; a step proportional to theta, as
 #: channel families use, loses accuracy at large angles
@@ -73,17 +72,6 @@ def log_hamiltonian(fam: UnitaryFamily, theta: float) -> np.ndarray:
     return 0.5 * (gen + dagger(gen))
 
 
-def unitary_qfi(gen: np.ndarray, psi: np.ndarray) -> float:
-    """``4 (<H^2> - <H>^2)`` in the state psi; zero iff psi is an eigenstate."""
-    check_hermitian(gen, what="generator")
-    psi = np.asarray(psi, dtype=complex)
-    hpsi = gen @ psi
-    mean = np.real(np.vdot(psi, hpsi))
-    second = np.real(np.vdot(hpsi, hpsi))
-    val = 4.0 * (second - mean * mean)
-    return 0.0 if -1e-12 < val < 0.0 else float(val)
-
-
 def unitary_qfi_max(gen: np.ndarray) -> tuple[float, np.ndarray]:
     """Maximal QFI over pure probes and one probe attaining it.
 
@@ -91,7 +79,6 @@ def unitary_qfi_max(gen: np.ndarray) -> tuple[float, np.ndarray]:
     superposition of extreme eigenvectors.  With degenerate extremes the
     lowest-index eigenvector of each extreme eigenvalue is used.
     """
-    check_hermitian(gen, what="generator")
     w, v = hermitian_eig(gen)
     gap = float(w[-1] - w[0])
     i_min = 0
@@ -101,28 +88,3 @@ def unitary_qfi_max(gen: np.ndarray) -> tuple[float, np.ndarray]:
     optimal = (v[:, i_min] + v[:, i_max]) / math.sqrt(2.0)
     return gap * gap, optimal
 
-
-def no_enhancement_check(
-    fam: UnitaryFamily,
-    theta: float,
-    dim_a: int,
-    search: SearchConfig | None = None,
-) -> float:
-    """Ratio of ancilla-extended to unextended maximal QFI; contract: 1.
-
-    A constant family has both maxima equal to zero; by convention the ratio
-    is reported as 1 and a DegenerateFamilyWarning is emitted.
-    """
-    if dim_a < 1:
-        raise ValidationError(f"ancilla dimension must be >= 1, got {dim_a}")
-    gen = log_hamiltonian(fam, theta)
-    max_plain, _ = unitary_qfi_max(gen)
-    if max_plain <= 1e-12:
-        warnings.warn(
-            "family carries no information at this point; ratio 1 by convention",
-            DegenerateFamilyWarning,
-        )
-        return 1.0
-    extended = extend_family(unitary_channel_family(fam), dim_a)
-    _, max_ext = maximize_qfi_pure(extended, theta, dim=2 * dim_a, search=search)
-    return max_ext / max_plain

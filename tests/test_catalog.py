@@ -10,10 +10,10 @@ from qest.channels import (
     validate_trace_preserving,
 )
 from qest.errors import ValidationError
-from qest.estimation import QfiEvaluator, channel_qfi
+from qest.estimation import QfiEvaluator, channel_qfi, maximize_qfi_pure
 from qest.linalg import ID2, bloch_to_density, fibonacci_sphere, pure_to_density
 from qest.lownoise import enhancement_factor, noise_geometry
-from qest.unitary import log_hamiltonian, no_enhancement_check, unitary_qfi_max
+from qest.unitary import log_hamiltonian, unitary_channel_family, unitary_qfi_max
 
 
 
@@ -115,8 +115,11 @@ class TestRotationUnitary:
         np.testing.assert_allclose(best, 1.0, atol=1e-8)
 
     def test_no_enhancement(self):
-        ratio = no_enhancement_check(rotation_unitary([0, 1, 0]), 0.6, 2)
-        np.testing.assert_allclose(ratio, 1.0, atol=1e-3)
+        # C07's comparison: the ancilla-extended search maximum over the squared gap
+        fam = rotation_unitary([0, 1, 0])
+        gap_sq, _ = unitary_qfi_max(log_hamiltonian(fam, 0.6))
+        _, best = maximize_qfi_pure(extend_family(unitary_channel_family(fam), 2), 0.6, 4)
+        np.testing.assert_allclose(best / gap_sq, 1.0, atol=1e-3)
 
     def test_rejects_non_unit_axis(self):
         with pytest.raises(ValidationError):

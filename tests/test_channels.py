@@ -14,7 +14,6 @@ from qest.channels import (
     extend_with_ancilla,
     family_from_low_noise,
     from_noise_operators,
-    identity_channel,
     instantiate,
     validate_first_order,
     validate_trace_preserving,
@@ -29,7 +28,7 @@ from conftest import random_density, random_noise_ops
 class TestApplyChannel:
     def test_identity_channel(self, rng):
         rho = random_density(rng, 3)
-        np.testing.assert_allclose(apply_channel(identity_channel(3), rho), rho, atol=0)
+        np.testing.assert_allclose(apply_channel(KrausChannel(3, (np.eye(3),)), rho), rho, atol=0)
 
     def test_depolarizing_on_ground_state(self):
         # hand evaluation: sx|0><0|sx = sy|0><0|sy = |1><1|, sz leaves it alone,
@@ -61,7 +60,7 @@ class TestApplyChannel:
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValidationError):
-            apply_channel(identity_channel(2), np.eye(3, dtype=complex))
+            apply_channel(KrausChannel(2, (np.eye(2),)), np.eye(3, dtype=complex))
 
     @pytest.mark.parametrize("dim", [2, 3, 4])
     @pytest.mark.parametrize("num_k", [1, 2, 3, 4, 5, 6])
@@ -84,7 +83,7 @@ class TestApplyChannel:
 
 class TestTracePreservation:
     def test_identity(self):
-        assert validate_trace_preserving(identity_channel(4)) == 0.0
+        assert validate_trace_preserving(KrausChannel(4, (np.eye(4),))) == 0.0
 
     def test_depolarizing_grid(self):
         dep = depolarizing()
@@ -106,7 +105,7 @@ class TestAncillaExtension:
         np.testing.assert_allclose(apply_channel(ext, rho), apply_channel(ch, rho), atol=0)
 
     def test_identity_extends_to_identity(self, rng):
-        ext = extend_with_ancilla(identity_channel(2), 3)
+        ext = extend_with_ancilla(KrausChannel(2, (np.eye(2),)), 3)
         rho = random_density(rng, 6)
         np.testing.assert_allclose(apply_channel(ext, rho), rho, atol=0)
 
@@ -122,7 +121,7 @@ class TestAncillaExtension:
 
     def test_rejects_empty_ancilla(self):
         with pytest.raises(ValidationError):
-            extend_with_ancilla(identity_channel(2), 0)
+            extend_with_ancilla(KrausChannel(2, (np.eye(2),)), 0)
 
     @pytest.mark.parametrize("dim_a", [1, 2, 3])
     def test_operators_equal_kronecker_products(self, dim_a):

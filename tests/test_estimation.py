@@ -9,9 +9,9 @@ import pytest
 from qest.catalog import depolarizing, gad, random_low_noise, rotation_unitary
 from qest.channels import (
     ChannelFamily,
+    KrausChannel,
     extend_family,
     family_from_low_noise,
-    identity_channel,
 )
 from qest.errors import DegenerateFamilyError, ParameterRangeError, ValidationError
 from qest.estimation import (
@@ -31,7 +31,6 @@ from qest.linalg import (
     ID2,
     bloch_to_density,
     dagger,
-    density_to_bloch,
     fibonacci_sphere,
     hermitian_eig,
     partial_trace,
@@ -162,7 +161,7 @@ class TestChannelQfi:
         fam = ChannelFamily(
             parameter="theta",
             validity=(0.0, 1.0),
-            build=lambda theta: identity_channel(2),
+            build=lambda theta: KrausChannel(2, (np.eye(2),)),
             dim=2,
         )
         res = channel_qfi(fam, random_density(rng, 2), 0.5)
@@ -208,14 +207,14 @@ class TestQfiEvaluator:
         np.testing.assert_allclose(batch, single, rtol=1e-12, atol=0)
 
     def test_refuses_a_non_finite_derivative(self):
-        fam = ChannelFamily("theta", (0.0, 1.0), lambda t: identity_channel(2), 2,
+        fam = ChannelFamily("theta", (0.0, 1.0), lambda t: KrausChannel(2, (np.eye(2),)), 2,
                             derivative=lambda t: [np.diag([np.nan, 0.0])])
         with pytest.raises(ValidationError, match="Choi"):
             QfiEvaluator(fam, 0.5)
 
     def test_refuses_one_derivative_too_many(self):
         # a wrong count would pair dK with the wrong K without an error
-        fam = ChannelFamily("theta", (0.0, 1.0), lambda t: identity_channel(2), 2,
+        fam = ChannelFamily("theta", (0.0, 1.0), lambda t: KrausChannel(2, (np.eye(2),)), 2,
                             derivative=lambda t: [np.eye(2), np.eye(2)])
         with pytest.raises(ValidationError, match="derivative shape"):
             QfiEvaluator(fam, 0.5)
@@ -331,7 +330,7 @@ class TestQfiValues:
     def test_random_outputs(self, rng):
         rho = np.stack([random_density(rng, 2) for _ in range(500)])
         drho = random_hermitian_stack(rng, 500, 2)  # nonzero trace
-        keep = 1.0 - np.linalg.norm(density_to_bloch(rho), axis=-1) >= 1e-3
+        keep = 1.0 - np.linalg.norm(pauli_coords(rho)[:, 1:].real, axis=-1) >= 1e-3
         assert keep.sum() > 400
         np.testing.assert_allclose(closed_form_qfi(rho[keep], drho[keep]),
                                    eigenbasis_qfi(rho[keep], drho[keep]), rtol=1e-12, atol=0)
@@ -476,7 +475,7 @@ class TestOptimalEstimator:
         fam = ChannelFamily(
             parameter="theta",
             validity=(0.0, 1.0),
-            build=lambda theta: identity_channel(2),
+            build=lambda theta: KrausChannel(2, (np.eye(2),)),
             dim=2,
         )
         res = channel_qfi(fam, random_density(rng, 2), 0.5)
@@ -589,7 +588,17 @@ class TestMaximizePure:
         grid = fibonacci_sphere(64)
         best = grid[int(np.argmax(ev.qfi(bloch_to_density(grid))))]
         psi, _ = maximize_qfi_pure(fam, theta, 2, search=SearchConfig(sphere_points=64, refine=False))
-        np.testing.assert_allclose(density_to_bloch(pure_to_density(psi)), best, atol=1e-12)
+        np.testing.assert_allclose(pauli_coords(pure_to_density(psi))[1:].real, best, atol=1e-12)
+
+    @pytest.mark.parametrize("dim, cfg", [
+        (2, SearchConfig(sphere_points=0)),
+        (2, SearchConfig(sphere_points=-3)),
+        (4, SearchConfig(schmidt_points=0)),
+    ], ids=["sphere_points=0", "sphere_points=-3", "schmidt_points=0"])
+    def test_refuses_an_empty_grid(self, dim, cfg):
+        fam = family_from_low_noise(depolarizing())
+        with pytest.raises(ValidationError, match="at least one point"):
+            maximize_qfi_pure(extend_family(fam, 2) if dim == 4 else fam, 0.1, dim, search=cfg)
 
     def test_grid_tie_break_is_deterministic(self):
         fam = family_from_low_noise(depolarizing())

@@ -1,17 +1,25 @@
-"""Source hygiene: every module of the package uses each name it imports.
+"""Source hygiene: every module of the package uses each name it imports,
+and every name of the public API has a caller.
 
-``__init__.py`` is exempt, since its imports are the public API.  The check
-reads the source with the standard library's ``ast``; a name counts as used
-when it appears anywhere as a bare name, annotations included.
+``__init__.py`` is exempt from the first rule, since its imports are the
+public API.  The checks read the source with the standard library's ``ast``;
+a name counts as used when it appears anywhere as a bare name, annotations
+included.  An export has a caller when a module of the package uses it as a
+name or attribute, or when it is a word of the acceptance suite, of
+``scripts/*.py`` or of ``bench/*.py``; its own unit tests do not count.
 """
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "qest"
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "qest"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+CONSUMERS = [ROOT / "tests" / "test_acceptance.py",
+             *sorted(ROOT.glob("scripts/*.py")), *sorted(ROOT.glob("bench/*.py"))]
 
 
 def unused_imports(source: str) -> list[str]:
@@ -34,3 +42,26 @@ def test_the_guard_sees_unused_names():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_module_uses_every_import(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def exports_without_caller(init_source: str, modules: list[str], consumers: list[str]) -> list[str]:
+    exported = [a.asname or a.name for node in ast.walk(ast.parse(init_source))
+                if isinstance(node, ast.ImportFrom) for a in node.names]
+    used = {node.id if isinstance(node, ast.Name) else node.attr
+            for source in modules for node in ast.walk(ast.parse(source))
+            if isinstance(node, (ast.Name, ast.Attribute))}
+    used.update(re.findall(r"\w+", "\n".join(consumers)))
+    return [name for name in exported if name not in used]
+
+
+def test_the_caller_guard_sees_uncalled_exports():
+    init = "from .a import f, g, h, k\nfrom .b import C\n"
+    # a definition is not a use, nor is a longer word that contains the name
+    modules = ["def g():\n    return f()\n", "class C:\n    pass\n"]
+    assert exports_without_caller(init, modules, ["x.k(1)  # h_2"]) == ["g", "h", "C"]
+
+
+def test_every_export_has_a_caller():
+    read = [p.read_text(encoding="utf-8") for p in (*MODULES, *CONSUMERS)]
+    init = (PACKAGE / "__init__.py").read_text(encoding="utf-8")
+    assert exports_without_caller(init, read[:len(MODULES)], read[len(MODULES):]) == []

@@ -7,7 +7,6 @@ from qest.catalog import random_low_noise
 from qest.channels import extend_family, family_from_low_noise
 from qest.errors import ConvergenceError, ValidationError
 from qest.linalg import (
-    bloch_angles,
     bloch_state,
     ID2,
     SIGMA_X,
@@ -16,13 +15,12 @@ from qest.linalg import (
     bloch_to_density,
     check_bloch,
     dagger,
-    density_to_bloch,
     fibonacci_sphere,
     hermitian_eig,
     partial_trace,
     PATTERN,
     pattern_search,
-    pauli_decompose,
+    pauli_coords,
     pure_to_density,
     purification,
     tensor_product,
@@ -214,24 +212,26 @@ class TestPartialTrace:
 
 
 class TestPauliDecompose:
+    """``m = sum_mu c_mu sigma_mu / 2`` for the coordinates c of :func:`pauli_coords`."""
+
     def test_basis_element(self):
-        np.testing.assert_allclose(pauli_decompose(SIGMA_X / 2), (0, 0.5, 0, 0), atol=1e-15)
+        np.testing.assert_allclose(pauli_coords(SIGMA_X / 2) / 2, (0, 0.5, 0, 0), atol=1e-15)
 
     def test_raising_operator(self):
         # [[0,1],[0,0]] = (sx + i sy)/2
         m = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
-        np.testing.assert_allclose(pauli_decompose(m), (0, 0.5, 0.5j, 0), atol=1e-15)
+        np.testing.assert_allclose(pauli_coords(m) / 2, (0, 0.5, 0.5j, 0), atol=1e-15)
 
     def test_round_trip(self, rng):
         for _ in range(50):
             m = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
-            m0, m1, m2, m3 = pauli_decompose(m)
+            m0, m1, m2, m3 = pauli_coords(m) / 2
             rebuilt = m0 * ID2 + m1 * SIGMA_X + m2 * SIGMA_Y + m3 * SIGMA_Z
             np.testing.assert_allclose(rebuilt, m, atol=1e-14)
 
     def test_rejects_wrong_shape(self):
         with pytest.raises(ValidationError):
-            pauli_decompose(np.eye(3, dtype=complex))
+            pauli_coords(np.eye(3, dtype=complex))
 
 
 class TestBloch:
@@ -250,7 +250,7 @@ class TestBloch:
         for _ in range(50):
             x = rng.standard_normal(3)
             x *= rng.uniform(0.0, 1.0) / np.linalg.norm(x)
-            np.testing.assert_allclose(density_to_bloch(bloch_to_density(x)), x, atol=1e-12)
+            np.testing.assert_allclose(pauli_coords(bloch_to_density(x))[1:].real, x, atol=1e-12)
 
     def test_eigenvalues(self, rng):
         for _ in range(20):
@@ -276,22 +276,24 @@ class TestBloch:
         xs = fibonacci_sphere(10)
         rhos = bloch_to_density(xs)
         assert rhos.shape == (10, 2, 2)
-        np.testing.assert_allclose(density_to_bloch(rhos), xs, atol=1e-12)
+        np.testing.assert_allclose(pauli_coords(rhos)[..., 1:].real, xs, atol=1e-12)
 
     def test_angles_and_state_round_trip(self, rng):
         for scale in (1.0, 0.3, 1e-8):
             x = scale * rng.standard_normal(3)
-            psi = bloch_state(*bloch_angles(x))
+            psi = bloch_state(x)
             assert psi.shape == (2,)
             np.testing.assert_allclose(
-                density_to_bloch(pure_to_density(psi)), x / np.linalg.norm(x), atol=1e-12
+                pauli_coords(pure_to_density(psi))[1:].real, x / np.linalg.norm(x), atol=1e-12
             )
 
-    def test_state_is_batched_over_angles(self):
-        polar, azim = np.meshgrid(np.linspace(0.0, np.pi, 5), np.linspace(0.0, 6.0, 4))
-        batch = bloch_state(polar, azim)
-        assert batch.shape == (4, 5, 2)
-        np.testing.assert_array_equal(batch[3, 1], bloch_state(polar[3, 1], azim[3, 1]))
+    def test_state_at_given_angles(self):
+        for polar in np.linspace(0.0, np.pi, 5):
+            for azim in np.linspace(-3.0, 3.0, 4):
+                x = np.array([np.sin(polar) * np.cos(azim), np.sin(polar) * np.sin(azim),
+                              np.cos(polar)])
+                expected = [np.cos(polar / 2), np.exp(1j * azim) * np.sin(polar / 2)]
+                np.testing.assert_allclose(bloch_state(x), expected, atol=1e-12)
 
 
 def test_fibonacci_sphere_is_unit_norm():
