@@ -1,7 +1,7 @@
 """Kraus-form channels and the low-noise channel model.
 
-A channel at a fixed parameter value is a plain list of Kraus operators,
-applied to states through its transfer matrix.
+A channel at a fixed parameter value is a plain list of Kraus operators;
+:func:`transfer_matrix` forms its transfer matrix where a caller needs one.
 A :class:`LowNoiseChannel` is the epsilon-parametrized object: it stores the
 leading expansion data (kappa coefficients, first-order corrections, noise
 operators) together with an exact Kraus generator, so instantiating at any
@@ -20,7 +20,7 @@ interval and checked against ``TP_TOL``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -37,16 +37,10 @@ TP_TOL = 1e-10
 
 @dataclass(frozen=True)
 class KrausChannel:
-    """A trace-preserving completely positive map at a fixed parameter value.
-
-    ``transfer`` is its transfer matrix ``S = sum_k K (x) conj(K)``, of shape
-    ``(d*d, d*d)``: the channel maps the row-major ``vec(rho)`` to
-    ``S vec(rho)``.  It is computed once, from the Kraus operators.
-    """
+    """A trace-preserving CP map at one parameter value, as read-only complex Kraus operators."""
 
     dim: int
     kraus: tuple[np.ndarray, ...]
-    transfer: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         ops = tuple(np.array(k, dtype=complex) for k in self.kraus)
@@ -60,14 +54,11 @@ class KrausChannel:
         for k in ops:
             k.setflags(write=False)
         object.__setattr__(self, "kraus", ops)
-        stack = np.stack(ops)
-        transfer = transfer_matrix(stack, stack)
-        transfer.setflags(write=False)
-        object.__setattr__(self, "transfer", transfer)
 
 
 def transfer_matrix(left: np.ndarray, right: np.ndarray) -> np.ndarray:
-    """``sum_k left_k (x) conj(right_k)`` in the layout of :attr:`KrausChannel.transfer`."""
+    """``sum_k left_k (x) conj(right_k)``, ``(d*d, d*d)``; the transfer matrix ``S =
+    transfer_matrix(K, K)`` of a Kraus stack maps the row-major vec(rho) to ``S vec(rho)``."""
     d2 = left.shape[-1] ** 2
     return np.einsum("kab,kdc->adbc", left, np.conj(right)).reshape(d2, d2)
 
@@ -75,8 +66,8 @@ def transfer_matrix(left: np.ndarray, right: np.ndarray) -> np.ndarray:
 def apply_channel(ch: KrausChannel, rho: np.ndarray) -> np.ndarray:
     """Apply ``sum_k K rho K^dag`` to a state or a stack ``(..., d, d)``.
 
-    The linear map takes the row-major ``vec(rho)`` to ``transfer @ vec(rho)``;
-    a whole stack is one matrix product.
+    The linear map takes the row-major ``vec(rho)`` to ``S vec(rho)``, S the
+    :func:`transfer_matrix`; a whole stack is one matrix product.
     """
     rho = np.asarray(rho, dtype=complex)
     if rho.shape[-2:] != (ch.dim, ch.dim):
@@ -84,15 +75,14 @@ def apply_channel(ch: KrausChannel, rho: np.ndarray) -> np.ndarray:
             f"state shape {rho.shape} does not match channel dimension {ch.dim}"
         )
     flat = rho.reshape(rho.shape[:-2] + (ch.dim * ch.dim,))
-    return (flat @ ch.transfer.T).reshape(rho.shape)
+    k = np.array(ch.kraus)
+    return (flat @ transfer_matrix(k, k).T).reshape(rho.shape)
 
 
 def validate_trace_preserving(ch: KrausChannel) -> float:
-    """Max-abs entry of ``sum_k K^dag K - I``; the caller compares it to a tolerance."""
-    acc = np.zeros((ch.dim, ch.dim), dtype=complex)
-    for k in ch.kraus:
-        acc += dagger(k) @ k
-    return float(np.max(np.abs(acc - np.eye(ch.dim))))
+    """Max-abs entry of ``sum_k K^dag K - I``, the sum as ``V^dag V`` for the stacked Kraus V."""
+    v = np.concatenate(ch.kraus)
+    return float(np.abs(v.conj().T @ v - np.eye(ch.dim)).max())
 
 
 def extend_with_ancilla(ch: KrausChannel, dim_a: int) -> KrausChannel:

@@ -10,7 +10,7 @@ finite-difference rule, at step :func:`default_fd_step` (at a fixed step in
 is an argument.
 
 Every QFI of a channel family, in :meth:`QfiEvaluator.qfi`, its ``result``
-and both search objectives, goes through one kernel that never builds L: for
+and both search objectives, goes through one formula that never builds L: for
 qubit outputs it is closed form in the Pauli coordinates of rho and d rho (no
 eigensolve; Zhong et al., PRA 87, 022337, 2013), for larger outputs the sum
 above over one batched eigensolve.  Only :func:`sld` and
@@ -21,8 +21,9 @@ Input-state maximization is a deterministic search in Bloch coordinates:
 scales per round, from the best point of a Fibonacci grid on the sphere of
 pure qubit inputs or, for qubit + qubit, of Fibonacci shells of reduced
 states in the ball, where the QFI is concave; each reduced state is probed at
-its canonical purification.  The reported value is attained by the returned
-state, hence a certified lower bound on the true maximum.
+its canonical purification.  Each poll goes through one table built from the
+evaluator's map.  The reported value is attained by the returned state, hence
+a certified lower bound on the true maximum.
 """
 
 from __future__ import annotations
@@ -34,8 +35,9 @@ import numpy as np
 from .channels import ChannelFamily, transfer_matrix
 from .errors import DegenerateFamilyError, ParameterRangeError, ValidationError
 from .linalg import (
+    PAULI_BASIS,
     bloch_state,
-    bloch_to_density,
+    check_bloch,
     check_hermitian,
     dagger,
     eigh,
@@ -152,15 +154,15 @@ def qfi(rho: np.ndarray, sld_op: np.ndarray) -> float:
 class QfiEvaluator:
     """Pre-built channel evaluations for one (family, theta) point.
 
-    It is built from the transfer matrices (:class:`~qest.channels.KrausChannel`)
-    ``S(theta)``, from one ``family.evaluate``, and ``dS = sum_k dK (x) conj(K)
-    + K (x) conj(dK)``, from the Kraus derivatives or, if the family has none,
-    the :func:`richardson_derivative` of four more builds; ``theta +- h`` (h =
-    :func:`default_fd_step`) must be valid.  Both must have finite Hermitian
-    Choi matrices, and are held once, as one map on the row-major ``vec`` of
-    the input state, which :meth:`_kernel` applies.  :meth:`qfi` and
-    :meth:`result` check their inputs (shape, then finite and Hermitian to
-    1e-8); the kernel checks nothing.
+    It is built from the transfer matrices (:func:`~qest.channels.transfer_matrix`)
+    ``S(theta)``, of the Kraus operators of one ``family.evaluate``, and ``dS =
+    sum_k dK (x) conj(K) + K (x) conj(dK)``, from the Kraus derivatives or, if
+    the family has none, the :func:`richardson_derivative` of S over four more
+    builds; ``theta +- h`` (h = :func:`default_fd_step`) must be valid.  Both
+    must have finite Hermitian Choi matrices, and are held once, as one map on
+    the row-major ``vec`` of the input state, which :meth:`_outputs` applies.
+    :meth:`qfi` and :meth:`result` check their inputs (shape, then finite and
+    Hermitian to 1e-8); :meth:`_outputs` and :meth:`_kernel` check nothing.
     """
 
     def __init__(self, family: ChannelFamily, theta: float):
@@ -172,17 +174,22 @@ class QfiEvaluator:
             )
         self.family = family
         self.theta = float(theta)
-        ch = family.evaluate(theta)
+
+        def transfer(t):
+            k = np.array(family.evaluate(t).kraus)
+            return k, transfer_matrix(k, k)
+
+        k, s = transfer(theta)
         if family.derivative is None:
-            ds = richardson_derivative(lambda t: family.evaluate(t).transfer, theta, h)
+            ds = richardson_derivative(lambda t: transfer(t)[1], theta, h)
         else:
             for t in (theta + h, theta - h):
                 family.check_range(t)
-            k, dk = np.stack(ch.kraus), np.asarray(family.derivative(theta), dtype=complex)
+            dk = np.asarray(family.derivative(theta), dtype=complex)
             if dk.shape != k.shape:
                 raise ValidationError(f"Kraus derivative shape {dk.shape} != Kraus shape {k.shape}")
             ds = transfer_matrix(np.concatenate([dk, k]), np.concatenate([k, dk]))
-        sd = np.stack([ch.transfer, ds])
+        sd = np.array([s, ds])
         choi = sd.reshape((2,) + (family.dim,) * 4).transpose(0, 1, 3, 2, 4)
         check_hermitian(choi.reshape(2, len(ds), -1), what="Choi matrix of S or dS")
         self._map = sd.reshape(2 * len(ds), -1).T  # vec(rho) -> (vec(S rho), vec(dS rho))
@@ -202,31 +209,31 @@ class QfiEvaluator:
         """The map's outputs rho and d rho, stacked on axis -3, at a stack of input ``vec``."""
         return (vecs @ self._map).reshape(vecs.shape[:-1] + (2,) + (self.family.dim,) * 2)
 
-    def _kernel(self, vecs: np.ndarray):
+    def _kernel(self, out: np.ndarray):
         """QFI ``sum_ij 2 |d_ij|^2 / (p_i + p_j)`` over ``p_i + p_j > KERNEL_TOL``
-        at a stack of input ``vec``, unchecked and without the SLD, with the
-        map's outputs and, above dim 2, the eigensystem of rho it used: at dim 2
-        :func:`_qubit_qfi` of their real Pauli coordinates, which are those of
-        their Hermitian parts, else one ``eigh`` of the Hermitian parts."""
-        out = self._outputs(vecs)
+        at a stack of the map's outputs, unchecked and without the SLD, with,
+        above dim 2, the eigensystem of rho it used: at dim 2 :func:`_qubit_qfi`
+        of their real Pauli coordinates, which are those of their Hermitian
+        parts, else one ``eigh`` of the Hermitian parts."""
         if self.family.dim == 2:
             c = pauli_coords(out).real
-            return _qubit_qfi(c[..., 0, :], c[..., 1, :], KERNEL_TOL), out, None
+            return _qubit_qfi(c[..., 0, :], c[..., 1, :], KERNEL_TOL), None
         rho, drho = _hermitian_parts(out)
         p, v = eig = eigh(rho)
         d = dagger(v) @ drho @ v
         val = np.einsum("...ij,...ij->...", _sld_weights(p, KERNEL_TOL), d.real ** 2 + d.imag ** 2)
-        return val, out, eig
+        return val, eig
 
     def output_and_derivative(self, rho_in: np.ndarray):
         return _hermitian_parts(self._outputs(self._vec(rho_in)))
 
     def qfi(self, rho_in: np.ndarray) -> np.ndarray:
         """QFI of the output family for a batch of input states ``(..., d, d)``."""
-        return self._kernel(self._vec(rho_in))[0]
+        return self._kernel(self._outputs(self._vec(rho_in)))[0]
 
     def result(self, rho_in: np.ndarray) -> EstimationResult:
-        val, out, eig = self._kernel(self._vec(rho_in))
+        out = self._outputs(self._vec(rho_in))
+        val, eig = self._kernel(out)
         rho, drho = _hermitian_parts(out)
         val = float(val)
         sld_mat = _sld_from_eigensystem(*(eig or eigh(rho)), drho)
@@ -270,6 +277,14 @@ def _estimator(sld_mat, qfi_val, theta):
     return sld_mat / qfi_val + theta * np.eye(sld_mat.shape[-1])
 
 
+def _norm2_in_ball(xs: np.ndarray) -> np.ndarray:
+    """``|x|^2`` of points ``(n, 3)``, refusing any outside the ball (:func:`check_bloch`)."""
+    norm2 = np.einsum("ij,ij->i", xs, xs)
+    if not (norm2 <= (1.0 + 1e-9) ** 2).all():  # a NaN fails this test too
+        check_bloch(xs)
+    return norm2
+
+
 def maximize_qfi_pure(
     family: ChannelFamily,
     theta: float,
@@ -288,39 +303,52 @@ def maximize_qfi_pure(
     purifications differ by an ancilla unitary, which commutes with
     ``Phi (x) id``; so it runs over the Bloch ball of sigma and evaluates
     each point at its canonical purification ``vec(sqrt(sigma))``
-    (:func:`~qest.linalg.purification`).  The grid is ``(n + 1) // 2`` shells
-    of radius ``cos(pi k / (n - 1))`` times ``n * n`` Fibonacci directions,
-    ``n = schmidt_points``, or the centre alone at radius ``cos(pi / 2)``.  The
-    QFI there is concave in sigma, a minimum of concave terms: it is ``min_h
-    4 [tr(sigma H1(h)) - tr(sigma H2(h))^2]`` over Kraus representations h
-    (Fujiwara & Imai, J. Phys. A 41, 255304, 2008; Escher, de Matos Filho &
-    Davidovich, Nat. Phys. 7, 406, 2011).  So every local maximum over the
-    Bloch ball is global, and the grid only picks a basin for the refinement.
+    (:func:`~qest.linalg.purification`).  Each poll goes through one table
+    built from the evaluator's map and forms no input state: at dim 2 the
+    outputs' Pauli coordinates are affine in the Bloch vector, at dim 4 the
+    outputs are quadratic in the Pauli coordinates of ``sqrt(sigma)``.  The
+    grid is ``(n + 1) // 2`` shells of radius ``cos(pi k / (n - 1))`` times
+    ``n * n`` Fibonacci directions, ``n = schmidt_points``, or the centre
+    alone at radius ``cos(pi / 2)``.  The QFI there is concave in sigma, a
+    minimum of concave terms: it is ``min_h 4 [tr(sigma H1(h)) - tr(sigma
+    H2(h))^2]`` over Kraus representations h (Fujiwara & Imai, J. Phys. A 41,
+    255304, 2008; Escher, de Matos Filho & Davidovich, Nat. Phys. 7, 406,
+    2011).  So every local maximum over the Bloch ball is global, and the
+    grid only picks a basin for the refinement.
     """
     cfg = search or SearchConfig()
     if dim not in (2, 4):
         raise ValidationError(f"pure-state search supports dim 2 or 4, got {dim}")
     if family.dim != dim:
         raise ValidationError(f"family dimension {family.dim} != requested dim {dim}")
-    if cfg.sphere_points < 1 or cfg.schmidt_points < 1:
-        raise ValidationError(f"search grids need at least one point, got {cfg}")
+    for size in (cfg.sphere_points, cfg.schmidt_points):
+        if not isinstance(size, (int, np.integer)) or size < 1:
+            raise ValidationError(f"grids need an integer count of at least one point, got {cfg}")
     ev = QfiEvaluator(family, theta)
 
     if dim == 2:
-        grid, project, inputs, state = (fibonacci_sphere(cfg.sphere_points), to_sphere,
-                                        bloch_to_density, bloch_state)
+        grid, project, state = fibonacci_sphere(cfg.sphere_points), to_sphere, bloch_state
+        # row mu: the real Pauli coordinates of the outputs (rho, d rho) at input sigma_mu/2
+        table = pauli_coords(ev._outputs(PAULI_BASIS.T / 2.0)).real.reshape(4, 8)
+
+        def f(xs):
+            _norm2_in_ball(xs)
+            c = xs @ table[1:] + table[0]
+            return _qubit_qfi(c[:, :4], c[:, 4:], KERNEL_TOL)
     else:
         n = cfg.schmidt_points
         radii = np.cos(np.linspace(0.0, np.pi, n)[: (n + 1) // 2])
         grid = np.concatenate([r * fibonacci_sphere(n * n if r > 1e-9 else 1) for r in radii])
         project, state = to_ball, purification
+        # psi = vec(sqrt(sigma)) = P a / 2, a = (r, x / r), r = sqrt(1 + sqrt(1 - |x|^2)), so
+        # vec(psi psi^dag) = kron(P, conj P)(a (x) a) / 4; viewed as real, re and im interleaved
+        table = (np.kron(PAULI_BASIS, PAULI_BASIS.conj()).T @ ev._map / 4.0).view(float)
 
-        def inputs(ys):  # the canonical purifications
-            return pure_to_density(purification(ys))
-
-    def f(xs):
-        rho_in = inputs(xs)
-        return ev._kernel(rho_in.reshape(rho_in.shape[:-2] + (dim * dim,)))[0]
+        def f(xs):
+            r = np.sqrt(1.0 + np.sqrt(np.maximum(1.0 - _norm2_in_ball(xs), 0.0)))[:, None]
+            a = np.concatenate([r, xs / r], axis=1)
+            out = ((a[:, :, None] * a[:, None, :]).reshape(-1, 16) @ table).view(complex)
+            return ev._kernel(out.reshape(-1, 2, 4, 4))[0]
 
     x = pattern_search(f, grid, project)[0] if cfg.refine else grid[int(np.argmax(f(grid)))]
     psi = state(x)

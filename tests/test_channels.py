@@ -184,6 +184,21 @@ class TestFamilyEvaluation:
             self.leaky_family(1e-9).evaluate(0.5)
         assert validate_trace_preserving(self.leaky_family(1e-11).evaluate(0.5)) < 1e-10
 
+    @pytest.mark.parametrize("dim", [2, 4])
+    def test_trace_residual_is_the_per_operator_sum(self, rng, dim):
+        # Kraus sets of 1-7 operators from a random isometry, each scaled so the
+        # family leaks: the residual is the per-operator sum's, and it is refused
+        for num_k in range(1, 8):
+            v, _ = np.linalg.qr(rng.standard_normal((num_k * dim, dim))
+                                + 1j * rng.standard_normal((num_k * dim, dim)))
+            ops = [v[i * dim:(i + 1) * dim] * (1.0 + 1e-3 * rng.uniform()) for i in range(num_k)]
+            ch = KrausChannel(dim, tuple(ops))
+            want = np.max(np.abs(sum(k.conj().T @ k for k in ops) - np.eye(dim)))
+            assert want > 1e-6
+            assert abs(validate_trace_preserving(ch) - want) <= 1e-15
+            with pytest.raises(ValidationError, match="not trace preserving"):
+                ChannelFamily("theta", (0.0, 1.0), lambda t: ch, dim).evaluate(0.5)
+
     @pytest.mark.parametrize("ancilla", [False, True])
     def test_one_trace_check_per_build(self, monkeypatch, ancilla):
         calls = []

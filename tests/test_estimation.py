@@ -324,6 +324,30 @@ class TestPollKernel:
                 f(np.array([[0.0, 0.0, 1.0 + 1e-6]]))
 
 
+class TestPollStructure:
+    """One poll of a search objective goes from Bloch coordinates to the QFI
+    through the search's table: no input state is formed, and only dim 4
+    eigensolves, once, on the output states."""
+
+    @pytest.mark.parametrize("dim", [2, 4])
+    def test_one_poll(self, monkeypatch, dim):
+        ln = random_low_noise(5, num_m=3)
+        fam = family_from_low_noise(ln)
+        f = search_objective(monkeypatch, extend_family(fam, 2) if dim == 4 else fam,
+                             0.2 * ln.validity[1])
+        xs = fibonacci_sphere(24) * (0.6 if dim == 4 else 1.0)
+        calls = []
+        for module in (linalg, estimation):
+            for name in ("purification", "pure_to_density", "bloch_to_density", "pauli_coords"):
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, lambda *a, name=name: calls.append(name))
+        solves = count_eigensolves(monkeypatch)
+        vals = f(xs)
+        assert calls == []
+        assert solves == ([(24, 4, 4)] if dim == 4 else [])
+        assert vals.shape == (24,) and np.all(vals > 0.0)
+
+
 class TestQfiValues:
     """The closed-form qubit QFI against the eigenbasis formula it replaces."""
 
@@ -599,6 +623,27 @@ class TestMaximizePure:
         fam = family_from_low_noise(depolarizing())
         with pytest.raises(ValidationError, match="at least one point"):
             maximize_qfi_pure(extend_family(fam, 2) if dim == 4 else fam, 0.1, dim, search=cfg)
+
+    @pytest.mark.parametrize("dim, cfg", [
+        (2, SearchConfig(sphere_points=2.5)),
+        (2, SearchConfig(sphere_points=float("nan"))),
+        (2, SearchConfig(sphere_points=np.float64(64.0))),
+        (4, SearchConfig(schmidt_points=2.5)),
+        (4, SearchConfig(schmidt_points="4")),
+    ], ids=["sphere_points=2.5", "sphere_points=nan", "sphere_points=float64", "schmidt_points=2.5",
+            "schmidt_points=str"])
+    def test_refuses_a_grid_size_that_is_not_an_integer(self, dim, cfg):
+        fam = family_from_low_noise(depolarizing())
+        with pytest.raises(ValidationError, match="integer"):
+            maximize_qfi_pure(extend_family(fam, 2) if dim == 4 else fam, 0.1, dim, search=cfg)
+
+    def test_takes_numpy_integer_grid_sizes(self):
+        fam = family_from_low_noise(random_low_noise(4, num_m=2))
+        for dim, field, size in ((2, "sphere_points", np.int64(64)), (4, "schmidt_points", np.int32(3))):
+            target = extend_family(fam, 2) if dim == 4 else fam
+            got, want = (maximize_qfi_pure(target, 0.05, dim, search=SearchConfig(**{field: n}))[1]
+                         for n in (size, int(size)))
+            assert got == want
 
     def test_grid_tie_break_is_deterministic(self):
         fam = family_from_low_noise(depolarizing())

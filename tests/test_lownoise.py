@@ -40,7 +40,7 @@ from qest.lownoise import (
     quadratic_form,
 )
 
-from conftest import random_density, random_noise_ops, random_unitary
+from conftest import random_density, random_hermitian, random_noise_ops, random_unitary
 
 
 def secular_sphere_min(w, d):
@@ -447,6 +447,63 @@ class TestAttainability:
         np.testing.assert_allclose(
             report.eta, 1.5 * (1.0 + 3.0 * u * u) / (1.0 + 3.0 * u), rtol=1e-12, atol=0
         )
+
+
+class TestAttainabilityConverse:
+    """eta near 3/2 forces g near isotropic: ``3/2 - eta`` bounds how far H/tr H
+    is from I/3 and how large u = |J|/tr H is, and it grows linearly in any
+    perturbation of an isotropic g, so eta is continuous there."""
+
+    @staticmethod
+    def ops_from_gram(g):
+        # Pauli rows whose Gram matrix is g (as in TestAttainability)
+        return ops_from_pauli_rows(np.conj(np.linalg.cholesky(g)))
+
+    def test_zero_axial_vector_bounds_the_metric_anisotropy(self, rng):
+        # J = 0: 3/2 - eta = (1 - 3 lam)/(2 (1 - lam)), lam = lam_min(H)/tr H, and
+        # lam_max - 1/3 <= 2 (1/3 - lam), so 3/2 - eta >= 3/4 ||H/tr H - I/3||_2
+        for trial in range(60):
+            num_m = 1 + trial % 5
+            q = np.linalg.qr(rng.standard_normal((3, 3)))[0][:, :min(num_m, 3)]
+            mu = np.zeros((3, num_m))
+            mu[:, :q.shape[1]] = q
+            mu += 10.0 ** -(trial % 7) * rng.standard_normal((3, num_m))
+            ms = ops_from_pauli_rows(mu)
+            h = noise_geometry(ms).h
+            lam = np.linalg.eigvalsh(h)[0] / np.trace(h)
+            gap = 1.5 - enhancement_factor(ms, method=METHOD_BOTH).eta
+            np.testing.assert_allclose(gap, (1.0 - 3.0 * lam) / (2.0 * (1.0 - lam)),
+                                       rtol=1e-9, atol=1e-14)
+            assert gap >= 0.75 * np.linalg.norm(h / np.trace(h) - np.eye(3) / 3.0, 2) - 1e-14
+
+    def test_isotropic_metric_bounds_the_axial_vector(self, rng):
+        # g = (tr H/3) I + i eps_abc J_c: 3/2 - eta = 4.5 u (1 - u)/(1 + 3u), which
+        # is at least 3u for u <= 1/9
+        levi = np.zeros((3, 3, 3))
+        for a, b, c in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
+            levi[a, b, c], levi[b, a, c] = 1.0, -1.0
+        for u in np.geomspace(1e-6, 0.1, 21):
+            tr_h = rng.uniform(0.1, 10.0)
+            jvec = rng.standard_normal(3)
+            jvec *= u * tr_h / np.linalg.norm(jvec)
+            g = tr_h / 3.0 * np.eye(3) + 1j * np.einsum("abc,c->ab", levi, jvec)
+            gap = 1.5 - enhancement_factor(self.ops_from_gram(g), method=METHOD_BOTH).eta
+            np.testing.assert_allclose(gap, 4.5 * u * (1.0 - u) / (1.0 + 3.0 * u), rtol=1e-9)
+            assert u <= gap / 3.0
+
+    def test_eta_falls_linearly_off_an_isotropic_gram(self, rng):
+        # g = I + t P for a random Hermitian direction P: eta < 3/2, and
+        # (3/2 - eta)/t has a limit as t -> 0
+        for _ in range(20):
+            p = random_hermitian(rng, 3)
+            p /= np.linalg.norm(p, 2)
+            rate = {}
+            for t in (1e-2, 1e-4, 1e-6):
+                ms = self.ops_from_gram(np.eye(3) + t * p)
+                eta = enhancement_factor(ms, method=METHOD_BOTH).eta
+                assert eta < 1.5
+                rate[t] = (1.5 - eta) / t
+            assert abs(rate[1e-4] / rate[1e-6] - 1.0) <= 0.1
 
 
 class TestScaleInvariance:
