@@ -10,8 +10,10 @@ is the row-major ``vec(sigma_mu)`` (``sigma_0 = I``); :func:`pauli_coords`
 gives the coordinates ``tr(sigma_mu m)``, so ``m = sum_mu c_mu sigma_mu / 2``,
 and the Bloch vector of a qubit state is ``c[1:]`` at ``c[0] = 1``.
 
-The eigensolver is LAPACK ``eigh`` (through numpy), batched over stacks.
-:func:`hermitian_eig` solves the Hermitian part of its input, with ascending
+The eigensolver is LAPACK ``eigh``, batched over stacks: :func:`eigh` calls the
+gufunc of ``np.linalg.eigh``, ``numpy.linalg._umath_linalg.eigh_lo`` (the one private
+numpy name in the package), without the checks around it that cost more than a 3x3
+solve.  :func:`hermitian_eig` solves the Hermitian part of its input, with ascending
 eigenvalues and every eigenvector's phase fixed by one convention, so results
 are byte-identical between runs on the same machine; another LAPACK build may
 differ in the last bits.
@@ -20,6 +22,7 @@ differ in the last bits.
 from __future__ import annotations
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 from .errors import ConvergenceError, ValidationError
 
@@ -30,6 +33,8 @@ PAULIS = (SIGMA_X, SIGMA_Y, SIGMA_Z)
 ID2 = np.eye(2, dtype=complex)
 #: column mu is the row-major vec(sigma_mu), mu = 0..3, sigma_0 = I
 PAULI_BASIS = np.stack([ID2, *PAULIS]).reshape(4, 4).T
+
+_eigh_lo = _umath_linalg.eigh_lo  # np.linalg.eigh's gufunc for UPLO="L"; NaN marks a failure
 
 #: default tolerance for "is this matrix Hermitian" checks (max-abs deviation)
 HERMITIAN_TOL = 1e-9
@@ -48,7 +53,7 @@ def check_hermitian(m: np.ndarray, tol: float = HERMITIAN_TOL, what: str = "matr
         raise ValidationError(f"{what} must be square, got shape {m.shape}")
     # a NaN or infinite entry makes the deviation NaN or infinite too
     with np.errstate(invalid="ignore"):
-        dev = float(np.max(np.abs(m - dagger(m))))
+        dev = float(np.max(np.abs(m - dagger(m)), initial=0.0))  # an empty stack passes
     if not np.isfinite(dev):
         raise ValidationError(f"{what} has a NaN or infinite entry")
     if dev > tol:
@@ -88,11 +93,12 @@ def hermitian_eig(m: np.ndarray, tol: float = HERMITIAN_TOL) -> tuple[np.ndarray
 
 
 def eigh(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """numpy's ``eigh``, unchecked, no phase convention; LinAlgError -> ConvergenceError."""
-    try:
-        return np.linalg.eigh(a)
-    except np.linalg.LinAlgError as exc:
-        raise ConvergenceError(f"eigh did not converge: {exc}") from exc
+    """``np.linalg.eigh(a)`` of float64 or complex128 ``a``, unchecked, no phase convention;
+    a LAPACK failure (numpy warns "invalid value", w is NaN) raises ConvergenceError."""
+    w, v = _eigh_lo(a)
+    if np.count_nonzero(np.isnan(w)):  # cheaper than .any() on a few eigenvalues
+        raise ConvergenceError("eigh did not converge")
+    return w, v
 
 
 def tensor_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -15,8 +15,8 @@ gives the axial vector J, and then
 The enhancement factor eta is the ratio of the maximum of L over the solid
 ball (reduced states of ancilla-extended pure inputs) to the maximum over the
 unit sphere (unextended pure inputs).  For every qubit channel it lies in
-[1, 3/2].  :func:`enhancement_factor` scales the operators by a power of two,
-then forms that Gram matrix and reads it once into Python floats: one real
+[1, 3/2].  :func:`enhancement_factor` forms that Gram matrix straight from the
+operators, scaled by a power of two, and reads it once into Python floats: one real
 eigensolve of H/tr H, then Newton's method on the secular equation.
 """
 
@@ -34,13 +34,13 @@ from .errors import (
     ValidationError,
 )
 from .linalg import (
+    PAULI_BASIS,
     bloch_state,
     bloch_to_density,
     dagger,
     eigh,
     fibonacci_sphere,
     pattern_search,
-    pauli_coords,
     purification,
     to_ball,
     to_sphere,
@@ -127,22 +127,30 @@ def leading_qfi_coefficient(noise_ops, rho: np.ndarray) -> float:
 
 
 def _qubit_stack(noise_ops) -> np.ndarray:
-    """Noise operators as a complex ``(m, 2, 2)`` stack; one such is taken as checked."""
-    if getattr(noise_ops, "dtype", None) == complex and noise_ops.shape[1:] == (2, 2) and len(noise_ops):
-        return noise_ops
-    return np.array(as_noise_ops(noise_ops, dim=2)[0])
+    """Noise operators as a complex ``(m, 2, 2)`` stack, m >= 1, by one conversion; for
+    anything else :func:`~qest.channels.as_noise_ops` raises (or reads a generator)."""
+    try:
+        stack = np.asarray(noise_ops, dtype=complex)
+    except (TypeError, ValueError):  # ragged, or not numbers
+        stack = np.empty(0)
+    is_stack = stack.shape[1:] == (2, 2) and len(stack)
+    return stack if is_stack else np.array(as_noise_ops(noise_ops, dim=2)[0])
 
 
-def _pauli_gram(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Coordinates ``c = tr(sigma_mu M)/2`` (a row per operator, identity first)
-    and their 4x4 Gram matrix ``G = c^dag c``: g is ``G[1:, 1:]``, |M|^2 is 2 tr G."""
-    c = pauli_coords(stack) / 2.0
+_HALF_PAULI = PAULI_BASIS.conj() / 2.0
+
+
+def _pauli_gram(stack: np.ndarray, scale: float = 1.0) -> tuple[np.ndarray, np.ndarray]:
+    """Coordinates ``c = scale tr(sigma_mu M)/2`` (a row per operator, identity first; a
+    power-of-two scale is exact) and their 4x4 Gram matrix ``G = c^dag c``: g is
+    ``G[1:, 1:]``, |M|^2 is 2 tr G at scale 1."""
+    c = stack.reshape(-1, 4) @ (_HALF_PAULI * scale)
     return c, c.conj().T @ c
 
 
 def noise_geometry(noise_ops) -> NoiseGeometry:
     """Pauli reduction (mu, g, H, J) of qubit noise operators, read off the Gram
-    matrix of their Pauli coordinates (:func:`~qest.linalg.pauli_coords`)."""
+    matrix of their Pauli coordinates (column mu of :data:`~qest.linalg.PAULI_BASIS`)."""
     c, gram = _pauli_gram(_qubit_stack(noise_ops))
     g = gram[1:, 1:]
     jvec = np.array([g[1, 2].imag, g[2, 0].imag, g[0, 1].imag])
@@ -260,18 +268,18 @@ def enhancement_factor(noise_ops, method: str = METHOD_DIRECT) -> EnhancementRep
     of H (always applicable); CLOSED_FORM uses the H^-1 expression and the
     regime split, BOTH runs both and records their discrepancy.  The ratio always lies in [1, 3/2].
 
-    Non-finite operators are refused.  The Pauli Gram matrix is formed after an
-    exact power-of-two scaling, then tr H makes every threshold relative, so eta
-    does not depend on the operators' scale; the leading coefficients are in
-    their units (inf or 0 past entries of about 1e154 or 1e-162).  One read of
-    the Gram matrix, then Python floats around one real eigensolve of H/tr H and
-    one sphere minimum (Newton on the secular equation), shared by both paths.
+    Non-finite operators are refused.  The Pauli Gram matrix comes from one product
+    of the operator stack with the Pauli basis times an exact power of two, then tr H
+    makes every threshold relative, so eta does not depend on the operators' scale;
+    the leading coefficients are in their units (inf or 0 past entries of about 1e154
+    or 1e-162).  One read of the Gram matrix, then Python floats around one real
+    :func:`~qest.linalg.eigh` of H/tr H and one sphere minimum, shared by both paths.
     """
     if method not in (METHOD_CLOSED_FORM, METHOD_DIRECT, METHOD_BOTH):
         raise ValidationError(f"unknown method {method!r}")
     stack = _qubit_stack(noise_ops)
     unit = noise_unit(stack)
-    gram = _pauli_gram(stack / unit)[1]
+    gram = _pauli_gram(stack, 1.0 / unit)[1]
     g = gram.tolist()
     tr_h = g[1][1].real + g[2][2].real + g[3][3].real
     if tr_h <= 2e-12 * (g[0][0].real + tr_h):  # 1e-12 |M|^2

@@ -1,5 +1,6 @@
 """Source hygiene: every module of the package uses each name it imports,
-and every name of the public API has a caller.
+every name of the public API has a caller, and one private numpy name is read,
+in one place.
 
 ``__init__.py`` is exempt from the first rule, since its imports are the
 public API.  The checks read the source with the standard library's ``ast``;
@@ -65,3 +66,45 @@ def test_every_export_has_a_caller():
     read = [p.read_text(encoding="utf-8") for p in (*MODULES, *CONSUMERS)]
     init = (PACKAGE / "__init__.py").read_text(encoding="utf-8")
     assert exports_without_caller(init, read[:len(MODULES)], read[len(MODULES):]) == []
+
+
+def private_numpy_names(source: str) -> list[str]:
+    """numpy names with an underscore part that a source imports or reads as
+    ``np.`` or ``numpy.`` attributes, each cut after its first such part."""
+    dotted = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            dotted += [a.name for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            dotted += [f"{node.module}.{a.name}" for a in node.names]
+        elif isinstance(node, ast.Attribute):
+            parts = []
+            while isinstance(node, ast.Attribute):
+                parts, node = [node.attr, *parts], node.value
+            if isinstance(node, ast.Name):
+                dotted.append(".".join(["numpy" if node.id == "np" else node.id, *parts]))
+    found = set()
+    for name in dotted:
+        parts = name.split(".")
+        private = [i for i, part in enumerate(parts) if part.startswith("_")]
+        if parts[0] == "numpy" and private:
+            found.add(".".join(parts[:private[0] + 1]))
+    return sorted(found)
+
+
+def test_the_private_name_guard_sees_every_form():
+    source = ("import numpy._core\nfrom numpy.linalg import _umath_linalg, eigh\n"
+              "from numpy.lib._index_tricks_impl import r_\nx = np.linalg._linalg.eigh\n"
+              "y = numpy._NoValue\nz = np.linalg.eigh\n")
+    assert private_numpy_names(source) == [
+        "numpy._NoValue", "numpy._core", "numpy.lib._index_tricks_impl",
+        "numpy.linalg._linalg", "numpy.linalg._umath_linalg"]
+
+
+def test_one_private_numpy_name_in_one_place():
+    found = {p.name: private_numpy_names(p.read_text(encoding="utf-8"))
+             for p in sorted(PACKAGE.glob("*.py"))}
+    assert {name: names for name, names in found.items() if names} == {
+        "linalg.py": ["numpy.linalg._umath_linalg"]}
+    docstring = ast.get_docstring(ast.parse((PACKAGE / "linalg.py").read_text(encoding="utf-8")))
+    assert "_umath_linalg" in docstring

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qest import estimation
+from qest import estimation, linalg
 from qest.catalog import random_low_noise
 from qest.channels import extend_family, family_from_low_noise
 from qest.errors import ConvergenceError, ValidationError
@@ -27,7 +27,7 @@ from qest.linalg import (
     to_ball,
     to_sphere,
 )
-from qest.estimation import maximize_qfi_pure
+from qest.estimation import QfiEvaluator, maximize_qfi_pure
 from qest.lownoise import noise_geometry
 
 from conftest import random_density, random_hermitian, random_unitary
@@ -40,6 +40,53 @@ def hermitian_matrices(draw, max_dim=8):
     scale = draw(st.sampled_from([1e-3, 1.0, 1e3]))
     rng = np.random.default_rng(seed)
     return random_hermitian(rng, n, scale)
+
+
+def failed_eigh_lo(a):
+    """What numpy's eigh gufunc writes for a matrix on which LAPACK fails."""
+    return np.full(a.shape[:-1], np.nan), np.full(a.shape, np.nan, dtype=a.dtype)
+
+
+class TestEigh:
+    """``linalg.eigh`` is ``np.linalg.eigh`` bit for bit, on every input form it gets."""
+
+    @staticmethod
+    def inputs():
+        rng = np.random.default_rng(5)
+        real = rng.standard_normal((3, 3))
+        stack = np.stack([random_hermitian(rng, 4) for _ in range(2000)])
+        out = np.stack([stack[:50], stack[50:100]], axis=1)  # (N, 2, 4, 4)
+        return {
+            "float64 3x3": real + real.T,
+            "complex128 2x2": random_hermitian(rng, 2),
+            "(2000, 4, 4) stack": stack,
+            "strided view": out[..., 0, :, :],
+            "empty stack": np.zeros((0, 4, 4), dtype=complex),
+        }
+
+    @pytest.mark.parametrize("name", ["float64 3x3", "complex128 2x2", "(2000, 4, 4) stack",
+                                      "strided view", "empty stack"])
+    def test_equals_numpy(self, name):
+        a = self.inputs()[name]
+        w, v = linalg.eigh(a)
+        w_np, v_np = np.linalg.eigh(a)
+        np.testing.assert_array_equal(w, w_np)
+        np.testing.assert_array_equal(v, v_np)
+        assert (w.dtype, v.dtype, v.shape) == (w_np.dtype, v_np.dtype, a.shape)
+
+    def test_nan_eigenvalues_are_a_convergence_error(self, monkeypatch):
+        monkeypatch.setattr(linalg, "_eigh_lo", failed_eigh_lo)
+        with pytest.raises(ConvergenceError, match="did not converge"):
+            linalg.eigh(np.eye(3))
+
+
+def test_an_empty_stack_is_hermitian():
+    w, v = hermitian_eig(np.zeros((0, 2, 2)))
+    assert (w.shape, v.shape) == ((0, 2), (0, 2, 2))
+    family = family_from_low_noise(random_low_noise(2, num_m=2))
+    theta = 0.2 * family.validity[1]
+    for fam in (family, extend_family(family, 2)):
+        assert QfiEvaluator(fam, theta).qfi(np.zeros((0, fam.dim, fam.dim))).shape == (0,)
 
 
 class TestHermitianEig:
@@ -101,10 +148,7 @@ class TestHermitianEig:
                 hermitian_eig(np.array(m, dtype=complex))
 
     def test_lapack_failure_is_a_convergence_error(self, monkeypatch):
-        def failing(a):
-            raise np.linalg.LinAlgError("Eigenvalues did not converge")
-
-        monkeypatch.setattr(np.linalg, "eigh", failing)
+        monkeypatch.setattr(linalg, "_eigh_lo", failed_eigh_lo)
         with pytest.raises(ConvergenceError):
             hermitian_eig(SIGMA_X)
 

@@ -147,6 +147,54 @@ class TestNoiseGeometry:
             noise_geometry([np.eye(3, dtype=complex)])
 
 
+QUBIT_OPERATOR_FUNCTIONS = {
+    "enhancement_factor": enhancement_factor,
+    "eta_bruteforce": lambda ops: eta_bruteforce(ops, 1000),
+    "noise_geometry": noise_geometry,
+}
+
+
+class TestQubitOperatorInput:
+    """The forms of qubit noise operators the eta functions take, and what they refuse."""
+
+    @staticmethod
+    def forms(ops):
+        """The catalog's tuple, nested lists, a generator, a complex array and, for
+        real operators, a real array."""
+        stack = np.array(ops)
+        forms = [ops, [m.tolist() for m in ops], (m for m in ops), stack]
+        return forms + [stack.real] if not stack.imag.any() else forms
+
+    @staticmethod
+    def fields(result):
+        if isinstance(result, float):
+            return [result]
+        return [getattr(result, f) for f in result.__dataclass_fields__]
+
+    @pytest.mark.parametrize("name", list(QUBIT_OPERATOR_FUNCTIONS))
+    @pytest.mark.parametrize("ln", [gad(1.0), random_low_noise(3, num_m=3)], ids=["gad", "random"])
+    def test_every_form_gives_the_same_result(self, name, ln):
+        assert isinstance(ln.noise_ops, tuple)
+        assert not any(m.flags.writeable for m in ln.noise_ops)
+        forms = self.forms(ln.noise_ops)
+        assert len(forms) == (5 if ln.name == "gad" else 4)
+        results = [self.fields(QUBIT_OPERATOR_FUNCTIONS[name](ops)) for ops in forms]
+        for other in results[1:]:
+            for a, b in zip(results[0], other):
+                np.testing.assert_array_equal(a, b)
+
+    @pytest.mark.parametrize("name", list(QUBIT_OPERATOR_FUNCTIONS))
+    @pytest.mark.parametrize("ops, message", [
+        ([], "need at least one noise operator"),
+        ([np.eye(3)], "does not match dim 2"),
+        (SIGMA_X, "does not match dim 2"),
+        ([ID2, np.eye(3)], "does not match dim 2"),
+    ], ids=["empty", "3x3", "one matrix", "ragged"])
+    def test_refusals(self, name, ops, message):
+        with pytest.raises(ValidationError, match=message):
+            QUBIT_OPERATOR_FUNCTIONS[name](ops)
+
+
 class TestQuadraticForm:
     def test_depolarizing_center_and_surface(self):
         geom = noise_geometry(depolarizing().noise_ops)
@@ -397,16 +445,15 @@ def test_one_real_eigh_and_no_other_lapack_call(monkeypatch, method):
     ms = random_low_noise(1, num_m=3).noise_ops
     calls = []
 
-    def counted(name):
-        original = getattr(np.linalg, name)
-
+    def counted(name, original):
         def call(a, *args, **kwargs):
             calls.append((name, a.shape, a.dtype))
             return original(a, *args, **kwargs)
         return call
 
     for name in ("eigh", "eigvals", "eigvalsh", "solve"):
-        monkeypatch.setattr(np.linalg, name, counted(name))
+        monkeypatch.setattr(np.linalg, name, counted(name, getattr(np.linalg, name)))
+    monkeypatch.setattr(linalg, "_eigh_lo", counted("eigh", linalg._eigh_lo))
     monkeypatch.setattr(linalg, "hermitian_eig", None)
     assert enhancement_factor(ms, method=method).regime == REGIME_INSIDE_BALL
     assert calls == [("eigh", (3, 3), np.float64)]
