@@ -103,4 +103,4 @@ def random_low_noise(seed: int, num_m: int = 3, scale: float = 1.0) -> LowNoiseC
     ms = scale / np.sqrt(2.0) * (
         rng.standard_normal((num_m, 2, 2)) + 1j * rng.standard_normal((num_m, 2, 2))
     )
-    return from_noise_operators(tuple(ms), name=f"random_low_noise(seed={seed})")
+    return from_noise_operators(ms, name=f"random_low_noise(seed={seed})")

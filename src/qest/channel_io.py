@@ -162,7 +162,7 @@ def channel_from_dict(data) -> ParsedChannel:
     n1 = _operators(data, "N1", dim)
     if len(kappas) != len(n1):
         raise SchemaError("kappa and N1 must have the same length", "$.N1")
-    ln = replace(from_noise_operators(ms), kappas=tuple(kappas), first_order=tuple(n1))
+    ln = replace(from_noise_operators(ms), kappas=kappas, first_order=n1)
     return ParsedChannel(kind=kind, dim=dim, low_noise=ln)
 
 

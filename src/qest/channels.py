@@ -1,6 +1,8 @@
 """Kraus-form channels and the low-noise channel model.
 
-A channel at a fixed parameter value is a plain list of Kraus operators;
+:func:`operator_stack` is the one place an operator set is converted and
+shape-checked; a set an object stores is its own read-only ``(n, d, d)`` copy,
+read as it is.  A channel at a fixed parameter value is a :class:`KrausChannel`;
 :func:`transfer_matrix` forms its transfer matrix where a caller needs one.
 A :class:`LowNoiseChannel` is the epsilon-parametrized object: it stores the
 leading expansion data (kappa coefficients, first-order corrections, noise
@@ -21,39 +23,60 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
 from .errors import ParameterRangeError, ValidationError
 from .linalg import dagger, eigh
 
-#: generator(eps) -> (B_list, C_list); the channel's Kraus operators are the
-#: B's plus sqrt(eps) times each C.
-KrausGenerator = Callable[[float], tuple[list[np.ndarray], list[np.ndarray]]]
+#: generator(eps) -> (Bs, Cs); the channel's Kraus operators are the B's plus
+#: sqrt(eps) times each C.
+KrausGenerator = Callable[[float], tuple[Sequence[np.ndarray], Sequence[np.ndarray]]]
 
 TP_TOL = 1e-10
 
 
+def operator_stack(ops, dim: int | None = None, what: str = "noise operator") -> np.ndarray:
+    """Operators as a complex ``(n, d, d)`` stack, n >= 1, d = ``dim`` (by default the
+    first one's size): such a stack comes back with no copy, any other input is read
+    one operator at a time, and the first bad one is a ValidationError naming ``what``."""
+    try:
+        stack = np.asarray(ops, dtype=complex)
+    except (TypeError, ValueError):  # ragged, or not numbers
+        stack = np.empty(0)
+    d = stack.shape[-1] if dim is None and stack.ndim else dim
+    if stack.ndim == 3 and len(stack) and stack.shape[1:] == (d, d):
+        return stack
+    ms = [np.asarray(m, dtype=complex) for m in ops]
+    if not ms:
+        raise ValidationError(f"need at least one {what}")
+    if dim is None:
+        dim = ms[0].shape[0] if ms[0].ndim == 2 else 0
+    for m in ms:
+        if m.shape != (dim, dim):
+            raise ValidationError(f"{what} shape {m.shape} does not match dim {dim}")
+    return np.array(ms)
+
+
+def _frozen(stack: np.ndarray) -> np.ndarray:
+    """A read-only copy of an operator stack, for the object that stores it."""
+    stack = stack.copy()
+    stack.setflags(write=False)
+    return stack
+
+
 @dataclass(frozen=True)
 class KrausChannel:
-    """A trace-preserving CP map at one parameter value, as read-only complex Kraus operators."""
+    """A trace-preserving CP map at one parameter value; ``kraus`` is its own
+    read-only complex ``(n, dim, dim)`` stack (:func:`operator_stack`)."""
 
     dim: int
-    kraus: tuple[np.ndarray, ...]
+    kraus: np.ndarray
 
     def __post_init__(self):
-        ops = tuple(np.array(k, dtype=complex) for k in self.kraus)
-        if not ops:
-            raise ValidationError("a channel needs at least one Kraus operator")
-        for k in ops:
-            if k.shape != (self.dim, self.dim):
-                raise ValidationError(
-                    f"Kraus operator shape {k.shape} does not match dim {self.dim}"
-                )
-        for k in ops:
-            k.setflags(write=False)
-        object.__setattr__(self, "kraus", ops)
+        stack = operator_stack(self.kraus, self.dim, "Kraus operator")
+        object.__setattr__(self, "kraus", _frozen(stack))
 
 
 def transfer_matrix(left: np.ndarray, right: np.ndarray) -> np.ndarray:
@@ -75,13 +98,12 @@ def apply_channel(ch: KrausChannel, rho: np.ndarray) -> np.ndarray:
             f"state shape {rho.shape} does not match channel dimension {ch.dim}"
         )
     flat = rho.reshape(rho.shape[:-2] + (ch.dim * ch.dim,))
-    k = np.array(ch.kraus)
-    return (flat @ transfer_matrix(k, k).T).reshape(rho.shape)
+    return (flat @ transfer_matrix(ch.kraus, ch.kraus).T).reshape(rho.shape)
 
 
 def validate_trace_preserving(ch: KrausChannel) -> float:
     """Max-abs entry of ``sum_k K^dag K - I``, the sum as ``V^dag V`` for the stacked Kraus V."""
-    v = np.concatenate(ch.kraus)
+    v = ch.kraus.reshape(-1, ch.dim)
     return float(np.abs(v.conj().T @ v - np.eye(ch.dim)).max())
 
 
@@ -89,7 +111,7 @@ def extend_with_ancilla(ch: KrausChannel, dim_a: int) -> KrausChannel:
     """The extended channel acting as ``ch`` on the system and identity on an ancilla."""
     if dim_a < 1:
         raise ValidationError(f"ancilla dimension must be >= 1, got {dim_a}")
-    return KrausChannel(dim=ch.dim * dim_a, kraus=tuple(_with_identity(ch.kraus, dim_a)))
+    return KrausChannel(dim=ch.dim * dim_a, kraus=_with_identity(ch.kraus, dim_a))
 
 
 def _with_identity(ops, dim_a: int) -> np.ndarray:
@@ -107,24 +129,24 @@ class LowNoiseChannel:
     the expansion data (B_a(0) = kappa_a I, first_order_a = -B_a'(0),
     noise_ops_alpha = C_alpha(0)).  ``b_derivative(eps)``, if given, is dB/deps
     of the generator's B's, for a generator whose C's do not depend on eps.
-    Operators are kept as read-only complex copies, shape-checked by the builder."""
+    ``first_order`` and ``noise_ops`` are its own read-only complex ``(n, dim, dim)``
+    stacks (:func:`operator_stack`); an empty set is a ``(0, dim, dim)`` stack."""
 
     dim: int
     kappas: tuple[complex, ...]
-    first_order: tuple[np.ndarray, ...]
-    noise_ops: tuple[np.ndarray, ...]
+    first_order: np.ndarray
+    noise_ops: np.ndarray
     generator: KrausGenerator
     validity: tuple[float, float]
     name: str = "low_noise"
-    b_derivative: Callable[[float], list[np.ndarray]] | None = None
+    b_derivative: Callable[[float], Sequence[np.ndarray]] | None = None
 
     def __post_init__(self):
-        n1 = tuple(np.array(m, dtype=complex) for m in self.first_order)
-        ms = tuple(np.array(m, dtype=complex) for m in self.noise_ops)
-        for m in n1 + ms:
-            m.setflags(write=False)
-        object.__setattr__(self, "first_order", n1)
-        object.__setattr__(self, "noise_ops", ms)
+        for field, what in (("first_order", "first-order"), ("noise_ops", "noise")):
+            ops = getattr(self, field)
+            empty = np.empty((0, self.dim, self.dim), dtype=complex)
+            stack = operator_stack(ops, self.dim, f"{what} operator") if len(ops) else empty
+            object.__setattr__(self, field, _frozen(stack))
         object.__setattr__(self, "kappas", tuple(complex(k) for k in self.kappas))
         if len(self.kappas) != len(self.first_order):
             raise ValidationError("need one first-order operator per kappa")
@@ -154,28 +176,11 @@ def validate_first_order(ln: LowNoiseChannel) -> float:
     number, since N_a below the normal range carry only absolute precision.
     """
     unit = max(noise_unit(ln.noise_ops), 2.0 ** -511)
-    lhs = np.zeros((ln.dim, ln.dim), dtype=complex)
+    ms, kap = ln.noise_ops / unit, np.array(ln.kappas)[:, None, None]
     with np.errstate(over="ignore", invalid="ignore"):  # an inf or NaN residual fails any tol
-        for m in ln.noise_ops:
-            lhs += dagger(m / unit) @ (m / unit)
-        for kap, n1 in zip(ln.kappas, ln.first_order):
-            n1 = n1 / unit / unit
-            lhs -= kap * dagger(n1) + np.conj(kap) * n1
-    return float(np.max(np.abs(lhs)))
-
-
-def as_noise_ops(noise_ops, dim: int | None = None) -> tuple[list[np.ndarray], int]:
-    """Noise operators as complex matrices, all ``dim x dim`` (by default the
-    first one's size); anything else is a ValidationError."""
-    ms = [np.asarray(m, dtype=complex) for m in noise_ops]
-    if not ms:
-        raise ValidationError("need at least one noise operator")
-    if dim is None:
-        dim = ms[0].shape[0] if ms[0].ndim == 2 else 0
-    for m in ms:
-        if m.shape != (dim, dim):
-            raise ValidationError(f"noise operator shape {m.shape} does not match dim {dim}")
-    return ms, dim
+        n1 = ln.first_order / unit / unit
+        terms = np.concatenate([dagger(ms) @ ms, -(kap * dagger(n1) + np.conj(kap) * n1)])
+        return float(np.max(np.abs(terms.sum(axis=0))))
 
 
 def noise_unit(ms) -> float:
@@ -197,10 +202,9 @@ def from_noise_operators(noise_ops, name: str = "low_noise") -> LowNoiseChannel:
     one einsum in units of :func:`noise_unit` (Hermitian by construction), has
     one unchecked ``eigh``; one that vanishes or overflows is refused.
     """
-    ms, dim = as_noise_ops(noise_ops)
-    scaled = np.array(ms)
-    unit = noise_unit(scaled)
-    scaled /= unit
+    ms = _frozen(operator_stack(noise_ops))  # its own copy: the caller may reuse its arrays
+    unit = noise_unit(ms)
+    scaled = ms / unit
     s = np.einsum("kji,kjl->il", scaled.conj(), scaled)  # the noise sum / unit^2
     w, v = eigh(s)
     lam_max = float(w[-1])
@@ -214,13 +218,13 @@ def from_noise_operators(noise_ops, name: str = "low_noise") -> LowNoiseChannel:
         if np.min(diag) < 0.0:
             raise ParameterRangeError(f"eps = {eps} beyond the square-root domain")
         b = (v * np.sqrt(diag)) @ dagger(v)
-        return [b], list(ms)
+        return [b], ms
 
     def b_derivative(eps: float):
         return [(v * (-0.5 * w * unit * unit / np.sqrt(1.0 - eps * unit * unit * w))) @ dagger(v)]
 
     return LowNoiseChannel(
-        dim=dim,
+        dim=len(s),
         kappas=(1.0 + 0.0j,),
         first_order=(0.5 * s * unit * unit,),
         noise_ops=ms,
@@ -244,7 +248,7 @@ class ChannelFamily:
     validity: tuple[float, float]
     build: Callable[[float], KrausChannel]
     dim: int
-    derivative: Callable[[float], list[np.ndarray]] | None = None
+    derivative: Callable[[float], Sequence[np.ndarray]] | None = None
 
     def check_range(self, theta: float) -> None:
         """Refuse ``theta`` outside the validity interval."""
@@ -272,15 +276,11 @@ def family_from_low_noise(ln: LowNoiseChannel) -> ChannelFamily:
 
     def build(eps: float) -> KrausChannel:
         bs, cs = ln.generator(float(eps))
-        kraus = [np.asarray(b, dtype=complex) for b in bs]
-        if eps > 0.0:
-            root = np.sqrt(eps)
-            kraus.extend(root * np.asarray(c, dtype=complex) for c in cs)
-        return KrausChannel(dim=ln.dim, kraus=tuple(kraus))
+        return KrausChannel(ln.dim, [*bs, *(np.sqrt(eps) * c for c in cs)] if eps > 0.0 else bs)
 
-    def derivative(eps: float) -> list[np.ndarray]:
+    def derivative(eps: float) -> Sequence[np.ndarray]:
         # C(eps) = C(0) = the noise operators, as b_derivative requires eps-free C's
-        return [*ln.b_derivative(float(eps)), *(c * (0.5 / np.sqrt(eps)) for c in ln.noise_ops)]
+        return [*ln.b_derivative(float(eps)), *ln.noise_ops * (0.5 / np.sqrt(eps))]
 
     return ChannelFamily(parameter="epsilon", validity=ln.validity, build=build, dim=ln.dim,
                          derivative=None if ln.b_derivative is None else derivative)
@@ -293,5 +293,5 @@ def extend_family(fam: ChannelFamily, dim_a: int) -> ChannelFamily:
         build=lambda theta: extend_with_ancilla(fam.build(theta), dim_a),
         dim=fam.dim * dim_a,
         derivative=None if fam.derivative is None
-        else lambda theta: list(_with_identity(fam.derivative(theta), dim_a)),
+        else lambda theta: _with_identity(fam.derivative(theta), dim_a),
     )

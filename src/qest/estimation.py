@@ -176,7 +176,7 @@ class QfiEvaluator:
         self.theta = float(theta)
 
         def transfer(t):
-            k = np.array(family.evaluate(t).kraus)
+            k = family.evaluate(t).kraus
             return k, transfer_matrix(k, k)
 
         k, s = transfer(theta)

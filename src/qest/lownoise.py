@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import as_noise_ops, noise_unit
+from .channels import noise_unit, operator_stack
 from .errors import (
     DegenerateChannelError,
     SingularGeometryError,
@@ -105,17 +105,19 @@ def _leading_kernel(ms):
     """The leading coefficient as a function of row-major states ``(..., d*d)``:
     ``tr(rho X_k) = vec(rho) . vec(X_k^T)`` for ``X = (sum M^dag M, M_1, ...)``,
     one operator at a time, so memory does not grow with their number."""
-    d = ms[0].shape[0]
-    rows = np.stack([sum(dagger(m) @ m for m in ms), *ms]).transpose(0, 2, 1).reshape(-1, d * d)
+    d = ms.shape[-1]
+    rows = np.stack([sum(dagger(ms) @ ms), *ms]).transpose(0, 2, 1).reshape(-1, d * d)
     return lambda vec: (vec @ rows[0]).real - sum(np.abs(vec @ x_k) ** 2 for x_k in rows[1:])
 
 
 def leading_qfi_coefficient(noise_ops, rho: np.ndarray) -> float:
     """Coefficient of the 1/eps divergence of the QFI at input ``rho``.
 
-    Accepts a stack of states ``(..., d, d)`` and then returns an array.
+    Accepts a stack of states ``(..., d, d)`` and then returns an array; refuses NaN and inf.
     """
-    ms, d = as_noise_ops(noise_ops)
+    ms = operator_stack(noise_ops)
+    noise_unit(ms)
+    d = ms.shape[-1]
     rho = np.asarray(rho, dtype=complex)
     if rho.shape[-2:] != (d, d):
         raise ValidationError(f"state shape {rho.shape} does not match dim {d}")
@@ -124,17 +126,6 @@ def leading_qfi_coefficient(noise_ops, rho: np.ndarray) -> float:
         val = float(total)
         return 0.0 if -1e-14 < val < 0.0 else val
     return total
-
-
-def _qubit_stack(noise_ops) -> np.ndarray:
-    """Noise operators as a complex ``(m, 2, 2)`` stack, m >= 1, by one conversion; for
-    anything else :func:`~qest.channels.as_noise_ops` raises (or reads a generator)."""
-    try:
-        stack = np.asarray(noise_ops, dtype=complex)
-    except (TypeError, ValueError):  # ragged, or not numbers
-        stack = np.empty(0)
-    is_stack = stack.shape[1:] == (2, 2) and len(stack)
-    return stack if is_stack else np.array(as_noise_ops(noise_ops, dim=2)[0])
 
 
 _HALF_PAULI = PAULI_BASIS.conj() / 2.0
@@ -149,9 +140,11 @@ def _pauli_gram(stack: np.ndarray, scale: float = 1.0) -> tuple[np.ndarray, np.n
 
 
 def noise_geometry(noise_ops) -> NoiseGeometry:
-    """Pauli reduction (mu, g, H, J) of qubit noise operators, read off the Gram
+    """Pauli reduction (mu, g, H, J) of finite qubit noise operators, read off the Gram
     matrix of their Pauli coordinates (column mu of :data:`~qest.linalg.PAULI_BASIS`)."""
-    c, gram = _pauli_gram(_qubit_stack(noise_ops))
+    stack = operator_stack(noise_ops, 2)
+    noise_unit(stack)
+    c, gram = _pauli_gram(stack)
     g = gram[1:, 1:]
     jvec = np.array([g[1, 2].imag, g[2, 0].imag, g[0, 1].imag])
     return NoiseGeometry(mu=c[:, 1:].T, g=g, h=0.5 * (g.real + g.real.T), jvec=jvec)
@@ -277,7 +270,7 @@ def enhancement_factor(noise_ops, method: str = METHOD_DIRECT) -> EnhancementRep
     """
     if method not in (METHOD_CLOSED_FORM, METHOD_DIRECT, METHOD_BOTH):
         raise ValidationError(f"unknown method {method!r}")
-    stack = _qubit_stack(noise_ops)
+    stack = operator_stack(noise_ops, 2)
     unit = noise_unit(stack)
     gram = _pauli_gram(stack, 1.0 / unit)[1]
     g = gram.tolist()
@@ -329,7 +322,7 @@ def eta_bruteforce(noise_ops, grid_size: int = 10_000) -> float:
     """
     if grid_size < 1000:
         raise ValidationError(f"grid_size must be at least 1000, got {grid_size}")
-    stack = _qubit_stack(noise_ops)
+    stack = operator_stack(noise_ops, 2)
     kernel = _leading_kernel(stack / noise_unit(stack))
 
     def coeff(xs):

@@ -15,12 +15,13 @@ from qest.channels import (
     family_from_low_noise,
     from_noise_operators,
     instantiate,
+    operator_stack,
     validate_first_order,
     validate_trace_preserving,
 )
 from qest.errors import ParameterRangeError, ValidationError
 from qest.estimation import QfiEvaluator, richardson_derivative
-from qest.linalg import ID2, PAULIS, hermitian_eig, partial_trace, tensor_product
+from qest.linalg import ID2, PAULIS, SIGMA_X, hermitian_eig, partial_trace, tensor_product
 
 from conftest import random_density, random_noise_ops
 
@@ -277,6 +278,72 @@ def test_canonical_build_is_one_unchecked_eigh(monkeypatch):
     assert calls == [("eigh", (2, 2), np.complex128)]
 
 
+class TestOperatorStack:
+    """``operator_stack`` is the one converter of operator sets, and every set a
+    channel stores is its own read-only copy of a stack."""
+
+    def test_a_complex_stack_comes_back_as_it_is(self):
+        stack = np.array(PAULIS, dtype=complex)
+        assert operator_stack(stack) is stack
+        assert operator_stack(stack, 2, "Kraus operator") is stack
+
+    def test_every_form_gives_the_same_stack(self):
+        ops = (np.diag([1.0, 2.0]), np.array([[0.0, 1.0], [3.0, 0.0]]))
+        want = np.array(ops, dtype=complex)
+        forms = [ops, [m.tolist() for m in ops], (m for m in ops), np.array(ops)]
+        for form in forms:
+            got = operator_stack(form, 2)
+            assert got.dtype == complex
+            np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("what", ["noise operator", "Kraus operator"])
+    @pytest.mark.parametrize("ops, message", [
+        ([], "need at least one {}"),
+        ([np.eye(3)], r"{} shape \(3, 3\) does not match dim 2"),
+        (SIGMA_X, r"{} shape \(2,\) does not match dim 2"),
+        ([ID2, np.eye(3)], r"{} shape \(3, 3\) does not match dim 2"),
+    ], ids=["empty", "3x3", "one matrix", "ragged"])
+    def test_refusals(self, ops, message, what):
+        with pytest.raises(ValidationError, match=message.format(what)):
+            operator_stack(ops, 2, what)
+
+    def test_stored_sets_are_owned_read_only_stacks(self):
+        caller = np.array(PAULIS, dtype=complex) / 2.0
+        ln = LowNoiseChannel(dim=2, kappas=(1.0,), first_order=caller[:1], noise_ops=caller,
+                             generator=depolarizing().generator, validity=(0.0, 1.0))
+        stored = [KrausChannel(2, caller).kraus, ln.noise_ops, ln.first_order,
+                  from_noise_operators(caller).noise_ops]
+        for stack in stored:
+            assert isinstance(stack, np.ndarray) and stack.dtype == complex and stack.ndim == 3
+            assert not stack.flags.writeable
+            assert not np.shares_memory(stack, caller)
+            for op in stack:
+                assert op.shape == (2, 2) and not op.flags.writeable
+
+    def test_an_empty_noise_set_is_an_empty_stack(self):
+        assert replace(depolarizing(), noise_ops=()).noise_ops.shape == (0, 2, 2)
+
+    @pytest.mark.parametrize("field", ["noise_ops", "first_order"])
+    def test_low_noise_channel_refuses_a_wrong_shape(self, field):
+        with pytest.raises(ValidationError, match=r"shape \(3, 3\) does not match dim 2"):
+            replace(depolarizing(), **{field: [np.eye(3)]})
+
+    def test_kraus_channel_refuses_a_wrong_shape(self):
+        with pytest.raises(ValidationError, match=r"Kraus operator shape \(3, 3\)"):
+            KrausChannel(2, [np.eye(3)])
+
+    @pytest.mark.parametrize("stacked", [False, True])
+    def test_the_family_does_not_follow_the_callers_arrays(self, stacked):
+        # a caller that reuses its buffer after the build leaves the family as built
+        m = [np.array([[0, 1], [0, 0]], dtype=complex)]
+        m = np.array(m) if stacked else m
+        ln = from_noise_operators(m)
+        before = family_from_low_noise(ln).evaluate(0.1).kraus
+        m[0][0, 1] = 0.5
+        np.testing.assert_array_equal(family_from_low_noise(ln).evaluate(0.1).kraus, before)
+        np.testing.assert_array_equal(ln.generator(0.1)[1], [[[0, 1], [0, 0]]])
+
+
 class TestNoiseOperatorValidation:
     @pytest.mark.parametrize(
         "ops",
@@ -319,6 +386,20 @@ class TestFirstOrderData:
     def test_residual_is_scale_free(self, scale):
         # 1e-159 puts the first-order data among the subnormal numbers
         assert validate_first_order(random_low_noise(42, scale=scale)) < 1e-15
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_residual_is_the_per_operator_loop(self, seed):
+        # the stacked sums keep the loop's order of additions, so the residual is bit-equal
+        rng = np.random.default_rng(seed)
+        for ln in (random_low_noise(seed, num_m=1 + seed), gad(0.5 + seed)):
+            ln = replace(ln, first_order=ln.first_order + 1e-3 * rng.standard_normal((1, 2, 2)))
+            unit = max(qest.channels.noise_unit(ln.noise_ops), 2.0 ** -511)
+            lhs = np.zeros((2, 2), dtype=complex)
+            for m in ln.noise_ops:
+                lhs += (m / unit).conj().T @ (m / unit)
+            for kap, n1 in zip(ln.kappas, ln.first_order):
+                lhs -= kap * (n1 / unit / unit).conj().T + np.conj(kap) * (n1 / unit / unit)
+            assert validate_first_order(ln) == np.max(np.abs(lhs))
 
     def test_residual_without_noise_operators(self):
         dep = depolarizing()

@@ -1,6 +1,6 @@
 """Source hygiene: every module of the package uses each name it imports,
-every name of the public API has a caller, and one private numpy name is read,
-in one place.
+every name of the public API has a caller, one private numpy name is read, in
+one place, and stored operator sets are read as the stacks they are.
 
 ``__init__.py`` is exempt from the first rule, since its imports are the
 public API.  The checks read the source with the standard library's ``ast``;
@@ -108,3 +108,40 @@ def test_one_private_numpy_name_in_one_place():
         "linalg.py": ["numpy.linalg._umath_linalg"]}
     docstring = ast.get_docstring(ast.parse((PACKAGE / "linalg.py").read_text(encoding="utf-8")))
     assert "_umath_linalg" in docstring
+
+
+#: the operator sets a channel stores, as read-only stacks, and the converters
+#: that ``channels.operator_stack`` replaced
+STORED_SETS = {"kraus", "noise_ops", "first_order"}
+RETIRED = {"as_noise_ops", "_qubit_stack"}
+
+
+def stored_set_conversions(source: str) -> list[str]:
+    """``np.array``, ``np.asarray``, ``np.concatenate`` and ``np.stack`` calls on a
+    stored operator set, and definitions of a retired converter."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.FunctionDef) and node.name in RETIRED:
+            found.append(f"def {node.name}")
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+              and isinstance(node.func.value, ast.Name) and node.func.value.id in ("np", "numpy")
+              and node.func.attr in ("array", "asarray", "concatenate", "stack") and node.args
+              and isinstance(node.args[0], ast.Attribute) and node.args[0].attr in STORED_SETS):
+            found.append(f"{node.func.value.id}.{node.func.attr}(.{node.args[0].attr})")
+    return sorted(found)
+
+
+def test_the_stored_set_guard_sees_every_form():
+    source = ("a = np.array(ch.kraus)\nb = np.concatenate(fam.evaluate(t).kraus)\n"
+              "c = np.stack(ln.noise_ops, axis=0)\nd = numpy.asarray(x.first_order)\n"
+              "e = np.asarray(ch.kraus.real)\nf = np.array([ch.kraus])\n"
+              "g = ch.kraus.reshape(-1, 2)\nh = np.asarray(ops)\n"
+              "def as_noise_ops(ops):\n    pass\ndef _qubit_stack(ops):\n    pass\n")
+    assert stored_set_conversions(source) == [
+        "def _qubit_stack", "def as_noise_ops", "np.array(.kraus)", "np.concatenate(.kraus)",
+        "np.stack(.noise_ops)", "numpy.asarray(.first_order)"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_stored_sets_are_read_as_stored(path):
+    assert stored_set_conversions(path.read_text(encoding="utf-8")) == []

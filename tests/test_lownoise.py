@@ -174,9 +174,9 @@ class TestQubitOperatorInput:
     @pytest.mark.parametrize("name", list(QUBIT_OPERATOR_FUNCTIONS))
     @pytest.mark.parametrize("ln", [gad(1.0), random_low_noise(3, num_m=3)], ids=["gad", "random"])
     def test_every_form_gives_the_same_result(self, name, ln):
-        assert isinstance(ln.noise_ops, tuple)
+        assert isinstance(ln.noise_ops, np.ndarray) and not ln.noise_ops.flags.writeable
         assert not any(m.flags.writeable for m in ln.noise_ops)
-        forms = self.forms(ln.noise_ops)
+        forms = self.forms(tuple(ln.noise_ops))
         assert len(forms) == (5 if ln.name == "gad" else 4)
         results = [self.fields(QUBIT_OPERATOR_FUNCTIONS[name](ops)) for ops in forms]
         for other in results[1:]:
@@ -193,6 +193,16 @@ class TestQubitOperatorInput:
     def test_refusals(self, name, ops, message):
         with pytest.raises(ValidationError, match=message):
             QUBIT_OPERATOR_FUNCTIONS[name](ops)
+
+    @pytest.mark.parametrize("name", [*QUBIT_OPERATOR_FUNCTIONS, "leading_qfi_coefficient"])
+    @pytest.mark.parametrize("entry", [np.nan, np.inf, -np.inf])
+    def test_non_finite_refusals(self, name, entry):
+        # refused before any arithmetic: a RuntimeWarning is an error in this suite
+        ms = np.array(random_low_noise(2, num_m=3).noise_ops)
+        ms[1, 0, 1] = entry
+        run = QUBIT_OPERATOR_FUNCTIONS.get(name, lambda ops: leading_qfi_coefficient(ops, ID2 / 2))
+        with pytest.raises(ValidationError, match="NaN or infinite"):
+            run(ms)
 
 
 class TestQuadraticForm:
