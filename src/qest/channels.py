@@ -38,15 +38,15 @@ TP_TOL = 1e-10
 
 
 def operator_stack(ops, dim: int | None = None, what: str = "noise operator") -> np.ndarray:
-    """Operators as a complex ``(n, d, d)`` stack, n >= 1, d = ``dim`` (by default the
-    first one's size): such a stack comes back with no copy, any other input is read
+    """Operators as a complex ``(n, d, d)`` stack, n >= 1, d = ``dim`` >= 1 (by default
+    the first one's size): such a stack comes back with no copy, any other input is read
     one operator at a time, and the first bad one is a ValidationError naming ``what``."""
     try:
         stack = np.asarray(ops, dtype=complex)
     except (TypeError, ValueError):  # ragged, or not numbers
         stack = np.empty(0)
     d = stack.shape[-1] if dim is None and stack.ndim else dim
-    if stack.ndim == 3 and len(stack) and stack.shape[1:] == (d, d):
+    if stack.ndim == 3 and stack.size and stack.shape[1:] == (d, d):
         return stack
     ms = [np.asarray(m, dtype=complex) for m in ops]
     if not ms:
@@ -56,6 +56,8 @@ def operator_stack(ops, dim: int | None = None, what: str = "noise operator") ->
     for m in ms:
         if m.shape != (dim, dim):
             raise ValidationError(f"{what} shape {m.shape} does not match dim {dim}")
+    if not dim:
+        raise ValidationError(f"a {what} of dimension 0 acts on no state")
     return np.array(ms)
 
 

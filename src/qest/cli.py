@@ -156,10 +156,6 @@ def cmd_qfi(args) -> int:
     if args.ancilla:
         family = extend_family(family, 2)
     rho, input_desc = _parse_input_spec(args.input, args.ancilla)
-    if rho.shape[-1] != family.dim:
-        raise ParameterRangeError(
-            f"input dimension {rho.shape[-1]} does not match channel dimension {family.dim}"
-        )
     res = channel_qfi(family, rho, args.epsilon)
     sld_eigs, _ = hermitian_eig(res.sld)
     out = {

@@ -3,11 +3,12 @@
 The symmetric logarithmic derivative L of a family rho_theta solves
 ``d rho = (L rho + rho L)/2`` and is Hermitian; the quantum Fisher information
 is ``tr(rho L^2) = sum_ij 2 |d_ij|^2 / (p_i + p_j)`` in the eigenbasis of rho.
-For channel families the derivative of the output state is exact where the
-family has Kraus derivatives, else :func:`richardson_derivative`, the one
-finite-difference rule, at step :func:`default_fd_step` (at a fixed step in
-:func:`qest.unitary.log_hamiltonian`).  Neither step nor the kernel tolerance
-is an argument.
+For channel families the derivative of the output state is formed from the
+family's Kraus derivatives: exact for low-noise families, and for unitary
+families :func:`richardson_derivative`, the one finite-difference rule, of U
+at a fixed step (:func:`qest.unitary.unitary_channel_family`).  A family with
+none is differentiated by the same rule at step :func:`default_fd_step`.
+Neither step nor the kernel tolerance is an argument.
 
 Every QFI of a channel family, in :meth:`QfiEvaluator.qfi`, its ``result``
 and both search objectives, goes through one formula that never builds L: for
@@ -156,9 +157,10 @@ class QfiEvaluator:
 
     It is built from the transfer matrices (:func:`~qest.channels.transfer_matrix`)
     ``S(theta)``, of the Kraus operators of one ``family.evaluate``, and ``dS =
-    sum_k dK (x) conj(K) + K (x) conj(dK)``, from the Kraus derivatives or, if
-    the family has none, the :func:`richardson_derivative` of S over four more
-    builds; ``theta +- h`` (h = :func:`default_fd_step`) must be valid.  Both
+    sum_k dK (x) conj(K) + K (x) conj(dK)``, from the Kraus derivatives, which
+    low-noise and unitary families carry, or, for a build-only family, the
+    :func:`richardson_derivative` of S over four more builds; either way
+    ``theta +- h`` (h = :func:`default_fd_step`) must be valid.  Both
     must have finite Hermitian Choi matrices, and are held once, as one map on
     the row-major ``vec`` of the input state, which :meth:`_outputs` applies.
     :meth:`qfi` and :meth:`result` check their inputs (shape, then finite and

@@ -2,15 +2,15 @@
 
 For a unitary family U(theta) the output QFI of a pure probe equals four
 times the variance of the generator H = i (dU/dtheta) U^dag, and the maximum
-over probes is the squared spectral gap of H.  dU/dtheta is the package's one
-finite-difference rule, :func:`qest.estimation.richardson_derivative`, at the
-fixed step ``GENERATOR_FD_STEP``.  Extending by an ancilla does
+over probes is the squared spectral gap of H.  Extending by an ancilla does
 not change that maximum (Fujiwara & Imai, J. Phys. A 41, 255304, 2008);
 acceptance criterion C07 checks this through the generic search pipeline.
 
-Unitarity is trace preservation of ``rho -> U rho U^dag``, so
-:meth:`UnitaryFamily.evaluate` checks it with the package's one
-trace-preservation check, :meth:`~qest.channels.ChannelFamily.evaluate`.
+:func:`unitary_channel_family` differentiates a family, once: its dU/dtheta,
+by :func:`qest.estimation.richardson_derivative` at ``GENERATOR_FD_STEP``, is
+what :func:`log_hamiltonian` and the QFI evaluator read.  Unitarity is trace
+preservation of ``rho -> U rho U^dag``, so :meth:`UnitaryFamily.evaluate`
+checks it, and the range, with :meth:`~qest.channels.ChannelFamily.evaluate`.
 """
 
 from __future__ import annotations
@@ -22,12 +22,11 @@ from typing import Callable
 import numpy as np
 
 from .channels import ChannelFamily, KrausChannel
-from .errors import ValidationError
 from .estimation import richardson_derivative
 from .linalg import dagger, hermitian_eig
 
-#: step of the generator's derivative; a step proportional to theta, as
-#: channel families use, loses accuracy at large angles
+#: step of dU/dtheta, for the generator and the QFI alike; a step proportional
+#: to theta, as build-only channel families use, loses accuracy at large angles
 GENERATOR_FD_STEP = 1e-5
 
 
@@ -42,32 +41,29 @@ class UnitaryFamily:
 
     def evaluate(self, theta: float) -> np.ndarray:
         """``U(theta)``, checked as the one-Kraus channel it conjugates by."""
-        lo, hi = self.validity
-        if not (lo <= theta <= hi):
-            raise ValidationError(
-                f"{self.parameter} = {theta} outside validity interval [{lo}, {hi}]"
-            )
         return unitary_channel_family(self).evaluate(theta).kraus[0]
 
 
 def unitary_channel_family(fam: UnitaryFamily) -> ChannelFamily:
-    """The conjugation channel rho -> U rho U^dag as a one-Kraus family."""
+    """The conjugation channel rho -> U rho U^dag as a one-Kraus family, whose
+    ``derivative`` is dU/dtheta at step ``GENERATOR_FD_STEP``."""
     return ChannelFamily(
         parameter=fam.parameter,
         validity=fam.validity,
         build=lambda theta: KrausChannel(dim=fam.dim, kraus=(fam.build(theta),)),
         dim=fam.dim,
+        derivative=lambda theta: [richardson_derivative(fam.evaluate, theta, GENERATOR_FD_STEP)],
     )
 
 
 def log_hamiltonian(fam: UnitaryFamily, theta: float) -> np.ndarray:
-    """Generator ``H = i (dU/dtheta) U^dag``, dU/dtheta by Richardson central
-    differences at step ``GENERATOR_FD_STEP``.
+    """Generator ``H = i (dU/dtheta) U^dag``, dU/dtheta the ``derivative`` of
+    :func:`unitary_channel_family`.
 
     The anti-Hermitian differencing noise is removed by symmetrization, so
     the result is exactly Hermitian.
     """
-    du = richardson_derivative(fam.evaluate, theta, GENERATOR_FD_STEP)
+    (du,) = unitary_channel_family(fam).derivative(theta)
     gen = 1j * du @ dagger(fam.evaluate(theta))
     return 0.5 * (gen + dagger(gen))
 

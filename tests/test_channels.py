@@ -22,6 +22,7 @@ from qest.channels import (
 from qest.errors import ParameterRangeError, ValidationError
 from qest.estimation import QfiEvaluator, richardson_derivative
 from qest.linalg import ID2, PAULIS, SIGMA_X, hermitian_eig, partial_trace, tensor_product
+from qest.lownoise import leading_qfi_coefficient
 
 from conftest import random_density, random_noise_ops
 
@@ -306,6 +307,16 @@ class TestOperatorStack:
     def test_refusals(self, ops, message, what):
         with pytest.raises(ValidationError, match=message.format(what)):
             operator_stack(ops, 2, what)
+
+    @pytest.mark.parametrize("call", [
+        lambda e: from_noise_operators([e]),
+        lambda e: leading_qfi_coefficient([e], e),
+        lambda e: KrausChannel(0, [e]),
+        lambda e: operator_stack([e]),
+    ], ids=["from_noise_operators", "leading_qfi_coefficient", "KrausChannel", "operator_stack"])
+    def test_refuses_zero_by_zero_operators(self, call):
+        with pytest.raises(ValidationError, match="operator of dimension 0"):
+            call(np.empty((0, 0)))
 
     def test_stored_sets_are_owned_read_only_stacks(self):
         caller = np.array(PAULIS, dtype=complex) / 2.0

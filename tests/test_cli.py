@@ -308,6 +308,15 @@ class TestQfi:
     def test_bad_input_spec(self, dep_file):
         assert main(["qfi", dep_file, "--epsilon", "0.1", "--input", "x"]) == 3
 
+    def test_rotation_at_a_large_angle(self, tmp_path, capsys):
+        # the QFI of a rotation is 1 at every angle; U is differentiated at a
+        # fixed step, so only the rounding of U at 1e5 is left
+        assert main(["demo", "unitary_rotation"]) == 0
+        path = tmp_path / "rot.json"
+        path.write_text(capsys.readouterr().out, encoding="utf-8")
+        assert main(["qfi", str(path), "--epsilon", "100000", "--input", "1,0,0"]) == 0
+        assert abs(json.loads(capsys.readouterr().out)["qfi"] - 1.0) < 1e-4
+
     @pytest.mark.parametrize("spec", ["nan,0,0", "0,0,inf"])
     def test_non_finite_bloch_input_is_named(self, dep_file, capsys, spec):
         assert main(["qfi", dep_file, "--epsilon", "0.05", "--input", spec]) == 1

@@ -1,6 +1,7 @@
 """Source hygiene: every module of the package uses each name it imports,
 every name of the public API has a caller, one private numpy name is read, in
-one place, and stored operator sets are read as the stacks they are.
+one place, stored operator sets are read as the stacks they are, and a family
+is differentiated and range-checked in one place each.
 
 ``__init__.py`` is exempt from the first rule, since its imports are the
 public API.  The checks read the source with the standard library's ``ast``;
@@ -145,3 +146,49 @@ def test_the_stored_set_guard_sees_every_form():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_stored_sets_are_read_as_stored(path):
     assert stored_set_conversions(path.read_text(encoding="utf-8")) == []
+
+
+def richardson_callers(source: str) -> list[str]:
+    """The functions that call ``richardson_derivative``, as ``name`` or
+    ``Class.method`` of the top level (a nested def or lambda counts as its
+    outermost one), or ``<module>``."""
+    found = set()
+
+    def visit(node, scope, in_class):
+        for child in ast.iter_child_nodes(node):
+            inner = scope
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)) and (scope is None or in_class):
+                inner = child.name if scope is None else f"{scope}.{child.name}"
+            if isinstance(child, ast.Call):
+                func = child.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                if name == "richardson_derivative":
+                    found.add(scope or "<module>")
+            visit(child, inner, isinstance(child, ast.ClassDef) and scope is None)
+
+    visit(ast.parse(source), None, False)
+    return sorted(found)
+
+
+def test_the_differentiation_guard_sees_every_caller():
+    source = ("class QfiEvaluator:\n    def __init__(self):\n        def g(t):\n"
+              "            return richardson_derivative(f, t, 1e-3)\n"
+              "    def qfi(self):\n        return estimation.richardson_derivative(f, 0.0, 1e-3)\n"
+              "def log_hamiltonian(fam, theta):\n"
+              "    return (lambda t: richardson_derivative(fam.evaluate, t, 1e-5))(theta)\n"
+              "d = richardson_derivative(f, 1.0, 1e-5)\nrule = richardson_derivative\n")
+    assert richardson_callers(source) == [
+        "<module>", "QfiEvaluator.__init__", "QfiEvaluator.qfi", "log_hamiltonian"]
+
+
+def test_each_family_kind_is_differentiated_in_one_place():
+    # a build-only family's transfer matrix, and a unitary family's dU/dtheta
+    callers = {p.name: richardson_callers(p.read_text(encoding="utf-8")) for p in MODULES}
+    assert {name: found for name, found in callers.items() if found} == {
+        "estimation.py": ["QfiEvaluator.__init__"], "unitary.py": ["unitary_channel_family"]}
+
+
+def test_the_validity_interval_is_checked_in_one_place():
+    holders = [p.name for p in sorted(PACKAGE.glob("*.py"))
+               if "outside validity interval" in p.read_text(encoding="utf-8")]
+    assert holders == ["channels.py"]

@@ -3,7 +3,7 @@ import pytest
 
 from qest.catalog import rotation_unitary
 from qest.channels import KrausChannel, extend_family
-from qest.errors import ValidationError
+from qest.errors import ParameterRangeError, ValidationError
 from qest.estimation import QfiEvaluator, channel_qfi, maximize_qfi_pure
 from qest.linalg import SIGMA_Z, dagger, hermitian_eig, pure_to_density
 from qest.unitary import UnitaryFamily, log_hamiltonian, unitary_channel_family, unitary_qfi_max
@@ -62,7 +62,7 @@ class TestLogHamiltonian:
         assert np.max(np.abs(gen - dagger(gen))) == 0.0
 
     def test_range_check(self):
-        with pytest.raises(ValidationError):
+        with pytest.raises(ParameterRangeError):
             log_hamiltonian(CONSTANT, 10.0)
 
 
@@ -148,6 +148,25 @@ class TestCrossValidation:
         )
         with pytest.raises(ValidationError):
             broken.evaluate(0.5)
+
+
+class TestOneDerivative:
+    """The channel family of a unitary family carries dU/dtheta, and the QFI
+    evaluator and ``log_hamiltonian`` both read it."""
+
+    def test_the_channel_family_carries_a_derivative(self):
+        assert unitary_channel_family(rotation_unitary([0.6, 0.0, 0.8])).derivative is not None
+
+    @pytest.mark.parametrize("theta", [0.7, 1e3, 1e5])
+    @pytest.mark.parametrize("seed", [None, 0, 1, 2, 3, 4])
+    def test_the_qfi_at_the_gap_probe_is_the_squared_gap(self, seed, theta):
+        if seed is None:
+            fam = rotation_unitary([0.6, 0.0, 0.8])
+        else:
+            fam = exponential_family(random_hermitian(np.random.default_rng(seed), 2))
+        gap_sq, probe = unitary_qfi_max(log_hamiltonian(fam, theta))
+        got = channel_qfi(unitary_channel_family(fam), pure_to_density(probe), theta).qfi
+        assert abs(got - gap_sq) <= 1e-9 * gap_sq
 
 
 class TestUnitarityCheck:
