@@ -14,7 +14,7 @@ from dataclasses import replace
 import numpy as np
 
 from .channels import LowNoiseChannel, from_noise_operators
-from .errors import ValidationError
+from .errors import ValidationError, is_int_in
 from .linalg import ID2, PAULIS, SIGMA_X, SIGMA_Y, SIGMA_Z
 from .unitary import UnitaryFamily
 
@@ -73,8 +73,11 @@ def gad(beta_e: float) -> LowNoiseChannel:
 
 def rotation_unitary(axis) -> UnitaryFamily:
     """One-parameter rotation ``U(theta) = exp(-i theta (axis . sigma)/2)``."""
-    axis = np.asarray(axis, dtype=float)
-    if axis.shape != (3,) or abs(np.linalg.norm(axis) - 1.0) > 1e-9:
+    try:
+        axis = np.asarray(axis, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"axis must be a unit 3-vector, got {axis!r}") from exc
+    if axis.shape != (3,) or not abs(np.linalg.norm(axis) - 1.0) <= 1e-9:  # NaN fails too
         raise ValidationError(f"axis must be a unit 3-vector, got {axis}")
     gen = 0.5 * (axis[0] * SIGMA_X + axis[1] * SIGMA_Y + axis[2] * SIGMA_Z)
 
@@ -95,8 +98,8 @@ def random_low_noise(seed: int, num_m: int = 3, scale: float = 1.0) -> LowNoiseC
     The noise operators have independent complex Gaussian entries of standard
     deviation ``scale``; the same seed always reproduces the same channel.
     """
-    if not 1 <= num_m <= 6:
-        raise ValidationError(f"num_m must be between 1 and 6, got {num_m}")
+    if not (is_int_in(seed, 0) and is_int_in(num_m, 1, 6)):
+        raise ValidationError(f"need integers seed >= 0, 1 <= num_m <= 6, got {seed!r}, {num_m!r}")
     if scale <= 0.0:
         raise ValidationError(f"scale must be positive, got {scale}")
     rng = np.random.default_rng(seed)

@@ -122,26 +122,26 @@ def cmd_eta(args) -> int:
     return EXIT_OK
 
 
+def _triple(spec: str, needs: str) -> np.ndarray:
+    """``spec`` as three comma-separated numbers; their consumer tests that they are finite."""
+    try:
+        x = np.array([float(v) for v in spec.split(",")])
+    except ValueError:
+        x = None
+    if x is None or x.shape != (3,):
+        raise ParameterRangeError(f"{needs} three comma-separated numbers x,y,z, got {spec!r}")
+    return x
+
+
 def _parse_input_spec(spec: str, ancilla: bool):
     if spec.strip().lower() == "bell":
         if not ancilla:
             raise ParameterRangeError("the bell input needs --ancilla")
-        bell = np.zeros(4, dtype=complex)
-        bell[0] = bell[3] = 1.0 / np.sqrt(2.0)
-        return pure_to_density(bell), "bell"
-    try:
-        x = np.array([float(v) for v in spec.split(",")])
-    except ValueError as exc:
-        raise ParameterRangeError(
-            f"input spec {spec!r} is neither 'bell' nor a Bloch triple x,y,z"
-        ) from exc
-    if x.shape != (3,):
-        raise ParameterRangeError(f"Bloch input needs exactly 3 components, got {len(x)}")
+        return pure_to_density(np.array([1.0, 0.0, 0.0, 1.0]) / np.sqrt(2.0)), "bell"
+    x = _triple(spec, "--input needs 'bell' or")
     rho = bloch_to_density(x)
-    if ancilla:
-        ground = np.zeros((2, 2), dtype=complex)
-        ground[0, 0] = 1.0
-        return tensor_product(rho, ground), list(map(float, x))
+    if ancilla:  # the ancilla in |0>
+        rho = tensor_product(rho, bloch_to_density([0.0, 0.0, 1.0]))
     return rho, list(map(float, x))
 
 
@@ -214,9 +214,7 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_demo(args) -> int:
-    axis = tuple(float(v) for v in args.axis.split(",")) if args.axis else (0.0, 0.0, 1.0)
-    if len(axis) != 3:
-        raise ParameterRangeError("axis needs exactly 3 comma-separated components")
+    axis = _triple(args.axis, "--axis needs") if args.axis else (0.0, 0.0, 1.0)
     _print_json(
         demo_dict(
             args.name,

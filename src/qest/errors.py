@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the test of an integer argument."""
+
+from numbers import Integral
 
 
 class QestError(Exception):
@@ -35,3 +37,8 @@ class SingularGeometryError(QestError, ValueError):
 
 class ConvergenceError(QestError, RuntimeError):
     """An iterative kernel failed to converge within its sweep budget."""
+
+
+def is_int_in(value, low: int, high: float = float("inf")) -> bool:
+    """Whether ``value`` is an int or numpy integer, not a bool, in ``[low, high]``."""
+    return isinstance(value, Integral) and not isinstance(value, bool) and low <= value <= high

@@ -34,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channels import ChannelFamily, transfer_matrix
-from .errors import DegenerateFamilyError, ParameterRangeError, ValidationError
+from .errors import DegenerateFamilyError, ParameterRangeError, ValidationError, is_int_in
 from .linalg import (
     PAULI_BASIS,
     bloch_state,
@@ -48,6 +48,7 @@ from .linalg import (
     pauli_coords,
     pure_to_density,
     purification,
+    sqrt_coords,
     to_ball,
     to_sphere,
 )
@@ -279,14 +280,6 @@ def _estimator(sld_mat, qfi_val, theta):
     return sld_mat / qfi_val + theta * np.eye(sld_mat.shape[-1])
 
 
-def _norm2_in_ball(xs: np.ndarray) -> np.ndarray:
-    """``|x|^2`` of points ``(n, 3)``, refusing any outside the ball (:func:`check_bloch`)."""
-    norm2 = np.einsum("ij,ij->i", xs, xs)
-    if not (norm2 <= (1.0 + 1e-9) ** 2).all():  # a NaN fails this test too
-        check_bloch(xs)
-    return norm2
-
-
 def maximize_qfi_pure(
     family: ChannelFamily,
     theta: float,
@@ -305,10 +298,12 @@ def maximize_qfi_pure(
     purifications differ by an ancilla unitary, which commutes with
     ``Phi (x) id``; so it runs over the Bloch ball of sigma and evaluates
     each point at its canonical purification ``vec(sqrt(sigma))``
-    (:func:`~qest.linalg.purification`).  Each poll goes through one table
-    built from the evaluator's map and forms no input state: at dim 2 the
-    outputs' Pauli coordinates are affine in the Bloch vector, at dim 4 the
-    outputs are quadratic in the Pauli coordinates of ``sqrt(sigma)``.  The
+    (:func:`~qest.linalg.purification`).  Each poll tests its points with
+    :func:`~qest.linalg.check_bloch`, goes through one table built from the
+    evaluator's map and forms no input state: at dim 2 the outputs' Pauli
+    coordinates are affine in the Bloch vector, at dim 4 the outputs are
+    quadratic in the Pauli coordinates of ``sqrt(sigma)``, read from
+    :func:`~qest.linalg.sqrt_coords` like the returned purification.  The
     grid is ``(n + 1) // 2`` shells of radius ``cos(pi k / (n - 1))`` times
     ``n * n`` Fibonacci directions, ``n = schmidt_points``, or the centre
     alone at radius ``cos(pi / 2)``.  The QFI there is concave in sigma, a
@@ -323,9 +318,8 @@ def maximize_qfi_pure(
         raise ValidationError(f"pure-state search supports dim 2 or 4, got {dim}")
     if family.dim != dim:
         raise ValidationError(f"family dimension {family.dim} != requested dim {dim}")
-    for size in (cfg.sphere_points, cfg.schmidt_points):
-        if not isinstance(size, (int, np.integer)) or size < 1:
-            raise ValidationError(f"grids need an integer count of at least one point, got {cfg}")
+    if not (is_int_in(cfg.sphere_points, 1) and is_int_in(cfg.schmidt_points, 1)):
+        raise ValidationError(f"grids need an integer count of at least one point, got {cfg}")
     ev = QfiEvaluator(family, theta)
 
     if dim == 2:
@@ -334,7 +328,7 @@ def maximize_qfi_pure(
         table = pauli_coords(ev._outputs(PAULI_BASIS.T / 2.0)).real.reshape(4, 8)
 
         def f(xs):
-            _norm2_in_ball(xs)
+            check_bloch(xs)
             c = xs @ table[1:] + table[0]
             return _qubit_qfi(c[:, :4], c[:, 4:], KERNEL_TOL)
     else:
@@ -342,13 +336,12 @@ def maximize_qfi_pure(
         radii = np.cos(np.linspace(0.0, np.pi, n)[: (n + 1) // 2])
         grid = np.concatenate([r * fibonacci_sphere(n * n if r > 1e-9 else 1) for r in radii])
         project, state = to_ball, purification
-        # psi = vec(sqrt(sigma)) = P a / 2, a = (r, x / r), r = sqrt(1 + sqrt(1 - |x|^2)), so
-        # vec(psi psi^dag) = kron(P, conj P)(a (x) a) / 4; viewed as real, re and im interleaved
+        # psi = vec(sqrt(sigma)) = P a / 2, a = sqrt_coords(x), so vec(psi psi^dag) =
+        # kron(P, conj P)(a (x) a) / 4; viewed as real, re and im interleaved
         table = (np.kron(PAULI_BASIS, PAULI_BASIS.conj()).T @ ev._map / 4.0).view(float)
 
         def f(xs):
-            r = np.sqrt(1.0 + np.sqrt(np.maximum(1.0 - _norm2_in_ball(xs), 0.0)))[:, None]
-            a = np.concatenate([r, xs / r], axis=1)
+            a = sqrt_coords(xs)
             out = ((a[:, :, None] * a[:, None, :]).reshape(-1, 16) @ table).view(complex)
             return ev._kernel(out.reshape(-1, 2, 4, 4))[0]
 

@@ -8,7 +8,8 @@ thousands of input states affordable.
 The qubit Pauli basis is written once, as :data:`PAULI_BASIS`, whose column mu
 is the row-major ``vec(sigma_mu)`` (``sigma_0 = I``); :func:`pauli_coords`
 gives the coordinates ``tr(sigma_mu m)``, so ``m = sum_mu c_mu sigma_mu / 2``,
-and the Bloch vector of a qubit state is ``c[1:]`` at ``c[0] = 1``.
+and the Bloch vector of a qubit state is ``c[1:]`` at ``c[0] = 1``.  Only :func:`check_bloch`
+tests the Bloch ball, and only :func:`sqrt_coords` takes the square root of a qubit state.
 
 The eigensolver is LAPACK ``eigh``, batched over stacks: :func:`eigh` calls the
 gufunc of ``np.linalg.eigh``, ``numpy.linalg._umath_linalg.eigh_lo`` (the one private
@@ -135,23 +136,23 @@ def pauli_coords(m: np.ndarray) -> np.ndarray:
     return (m.reshape(-1, 4) @ PAULI_BASIS.conj()).reshape(m.shape[:-2] + (4,))
 
 
-def check_bloch(x: np.ndarray) -> np.ndarray:
-    """``x`` as float Bloch vectors, batched, each of 3 finite components and
-    norm <= 1 + 1e-9."""
+def check_bloch(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``x`` as float Bloch vectors, batched, each of 3 finite components and ``|x|^2
+    <= (1 + 1e-9)^2``, with ``|x|^2``; the norm is formed only for the error message."""
     x = np.asarray(x, dtype=float)
-    if x.shape[-1] != 3:
+    if x.shape[-1:] != (3,):
         raise ValidationError(f"Bloch vector needs 3 components, got shape {x.shape}")
-    norm = np.linalg.norm(x, axis=-1)
-    if not (norm <= 1.0 + 1e-9).all():  # a NaN norm fails this test too
+    norm2 = np.einsum("...i,...i->...", x, x)
+    if not (norm2 <= (1.0 + 1e-9) ** 2).all():  # a NaN fails this test too
         if not np.isfinite(x).all():
             raise ValidationError("Bloch vector has a NaN or infinite component")
-        raise ValidationError(f"Bloch vector norm {float(np.max(norm)):.12f} exceeds 1")
-    return x
+        raise ValidationError(f"Bloch vector norm {float(np.sqrt(np.max(norm2))):.12f} exceeds 1")
+    return x, norm2
 
 
 def bloch_to_density(x: np.ndarray) -> np.ndarray:
-    """Density matrix ``(I + x . sigma)/2`` for Bloch vectors of norm <= 1 + 1e-9, batched."""
-    x = check_bloch(x)
+    """Density matrix ``(I + x . sigma)/2`` of Bloch vectors (:func:`check_bloch`), batched."""
+    x = check_bloch(x)[0]
     vec = x @ (PAULI_BASIS[:, 1:].T / 2.0)
     vec += PAULI_BASIS[:, 0] / 2.0  # in place: a large batch makes one complex array
     return vec.reshape(x.shape[:-1] + (2, 2))
@@ -171,15 +172,20 @@ def pure_to_density(psi: np.ndarray) -> np.ndarray:
     return psi[..., :, None] * np.conj(psi[..., None, :])
 
 
+def sqrt_coords(x: np.ndarray) -> np.ndarray:
+    """Pauli coordinates ``a = (r, x / r)`` of ``sqrt(sigma)``, sigma the qubit state with
+    Bloch vector ``x`` (:func:`check_bloch`), batched: ``2 sqrt(sigma) = (r^2 I + x.sigma)/r``
+    with ``r^2 = 1 + 2 sqrt(det sigma) = 1 + sqrt(1 - |x|^2)``."""
+    x, norm2 = check_bloch(x)
+    r = np.sqrt(1.0 + np.sqrt(np.maximum(1.0 - norm2, 0.0)))[..., None]
+    return np.concatenate([r, x / r], axis=-1)
+
+
 def purification(x: np.ndarray) -> np.ndarray:
     """Canonical purification ``vec(sqrt(sigma))`` of the qubit state with Bloch
-    vector ``x``, batched, system index first; closed form, as ``sqrt(sigma) =
-    (sigma + c I)/sqrt(1 + 2c)`` with ``c = sqrt(det sigma) = sqrt(1 - |x|^2)/2``."""
-    x = check_bloch(x)
-    c = 0.5 * np.sqrt(np.clip(1.0 - np.sum(np.square(x), axis=-1), 0.0, None))
-    off, z = 0.5 * (x[..., 0] - 1j * x[..., 1]), x[..., 2]
-    vec = np.stack([0.5 * (1.0 + z) + c, off, np.conj(off), 0.5 * (1.0 - z) + c], axis=-1)
-    return vec / np.sqrt(1.0 + 2.0 * c)[..., None]
+    vector ``x``, batched, system index first: ``P a / 2`` with ``P =
+    PAULI_BASIS`` and ``a`` the :func:`sqrt_coords` of ``x``."""
+    return sqrt_coords(x) @ PAULI_BASIS.T / 2.0
 
 
 def fibonacci_sphere(n: int) -> np.ndarray:

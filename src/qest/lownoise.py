@@ -32,11 +32,13 @@ from .errors import (
     DegenerateChannelError,
     SingularGeometryError,
     ValidationError,
+    is_int_in,
 )
 from .linalg import (
     PAULI_BASIS,
     bloch_state,
     bloch_to_density,
+    check_bloch,
     dagger,
     eigh,
     fibonacci_sphere,
@@ -154,11 +156,9 @@ def quadratic_form(geom: NoiseGeometry, x: np.ndarray) -> float:
     """Leading coefficient as a quadratic form, ``tr H - x.H x - 2 J.x``.
 
     Agrees with :func:`leading_qfi_coefficient` at ``rho = (I + x.sigma)/2``
-    to working precision; accepts a stack of Bloch vectors ``(..., 3)``.
+    to working precision; takes a stack of Bloch vectors ``(..., 3)`` (:func:`check_bloch`).
     """
-    x = np.asarray(x, dtype=float)
-    if x.shape[-1] != 3:
-        raise ValidationError(f"Bloch vector needs 3 components, got shape {x.shape}")
+    x = check_bloch(x)[0]
     val = (
         np.trace(geom.h)
         - np.einsum("...i,ij,...j->...", x, geom.h, x)
@@ -320,8 +320,8 @@ def eta_bruteforce(noise_ops, grid_size: int = 10_000) -> float:
     is global, and the ball search starts from the better of the sphere winner and
     the centre, with no grid.
     """
-    if grid_size < 1000:
-        raise ValidationError(f"grid_size must be at least 1000, got {grid_size}")
+    if not is_int_in(grid_size, 1000):
+        raise ValidationError(f"grid_size must be an integer of at least 1000, got {grid_size!r}")
     stack = operator_stack(noise_ops, 2)
     kernel = _leading_kernel(stack / noise_unit(stack))
 
@@ -345,9 +345,5 @@ def optimal_input_states(report: EnhancementReport) -> tuple[np.ndarray, np.ndar
     ball optimum sigma, whose Schmidt coefficients are the square roots of
     the eigenvalues of sigma.
     """
-    xs = np.asarray(report.x_sphere, dtype=float)
-    pure = bloch_state(xs)
-
-    extended = purification(np.asarray(report.x_ball, dtype=float))
-    extended /= np.linalg.norm(extended)
-    return pure, extended
+    extended = purification(report.x_ball)
+    return bloch_state(report.x_sphere), extended / np.linalg.norm(extended)

@@ -159,3 +159,26 @@ class TestRandomLowNoise:
             random_low_noise(0, num_m=7)
         with pytest.raises(ValidationError):
             random_low_noise(0, num_m=2, scale=0.0)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: random_low_noise(-1),
+    lambda: random_low_noise(2.5),
+    lambda: random_low_noise("7"),
+    lambda: random_low_noise(None),  # would draw a new channel on every call
+    lambda: random_low_noise(True),
+    lambda: random_low_noise(0, num_m=2.0),
+    lambda: random_low_noise(0, num_m=True),
+    lambda: rotation_unitary([np.nan, 0.0, 0.0]),
+    lambda: rotation_unitary([np.inf, 0.0, 0.0]),
+    lambda: rotation_unitary(["a", 0.0, 0.0]),
+], ids=["seed=-1", "seed=2.5", "seed=str", "seed=None", "seed=True", "num_m=2.0",
+        "num_m=True", "axis=nan", "axis=inf", "axis=str"])
+def test_catalog_arguments_are_refused(build):
+    with pytest.raises(ValidationError):
+        build()
+
+
+def test_catalog_takes_numpy_integers():
+    ref = random_low_noise(7, num_m=2).noise_ops
+    np.testing.assert_array_equal(random_low_noise(np.int64(7), num_m=np.int32(2)).noise_ops, ref)

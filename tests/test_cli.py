@@ -382,6 +382,28 @@ class TestSweep:
         ) == 3
 
 
+@pytest.mark.parametrize("spec", ["x,0,0", "1,0", "1,0,0,0"])
+@pytest.mark.parametrize("option", ["--input", "--axis"])
+def test_a_malformed_triple_is_a_domain_error(dep_file, capsys, option, spec):
+    argv = (["qfi", dep_file, "--epsilon", "0.1", "--input", spec] if option == "--input"
+            else ["demo", "unitary_rotation", "--axis", spec])
+    assert main(argv) == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"domain error: {option} needs") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["demo", "random", "--seed", "-1"],
+    ["demo", "random", "--num-M", "7"],
+    ["demo", "unitary_rotation", "--axis", "nan,0,0"],
+    ["demo", "unitary_rotation", "--axis", "x,0,0"],
+], ids=["seed=-1", "num_M=7", "axis=nan", "axis=x"])
+def test_a_bad_demo_argument_is_refused_in_one_line(capsys, argv):
+    assert main(argv) in (1, 3)
+    out, err = capsys.readouterr()
+    assert out == "" and err.count("\n") == 1 and "Traceback" not in err
+
+
 class TestDemoAndRoundTrip:
     def test_demo_output_parses(self, capsys):
         for name in ("depolarizing", "gad", "unitary_rotation", "random"):

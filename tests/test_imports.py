@@ -1,7 +1,9 @@
 """Source hygiene: every module of the package uses each name it imports,
 every name of the public API has a caller, one private numpy name is read, in
-one place, stored operator sets are read as the stacks they are, and a family
-is differentiated and range-checked in one place each.
+one place, stored operator sets are read as the stacks they are, a family is
+differentiated and range-checked in one place each, and the Bloch ball's
+slack, the square root of a qubit state and the CLI's comma-separated triples
+are written once each.
 
 ``__init__.py`` is exempt from the first rule, since its imports are the
 public API.  The checks read the source with the standard library's ``ast``;
@@ -192,3 +194,22 @@ def test_the_validity_interval_is_checked_in_one_place():
     holders = [p.name for p in sorted(PACKAGE.glob("*.py"))
                if "outside validity interval" in p.read_text(encoding="utf-8")]
     assert holders == ["channels.py"]
+
+
+def fragment_counts(sources: dict[str, str], fragment: str) -> dict[str, int]:
+    """How often ``fragment`` is written in each source that holds it."""
+    return {name: text.count(fragment) for name, text in sources.items() if fragment in text}
+
+
+def test_the_fragment_guard_counts_every_holder():
+    sources = {"a.py": "ok = n2 <= (1.0 + 1e-9) ** 2\nxs = s.split(',')\n",
+               "b.py": 'x = a.split(",")\ny = b.split(",")\n# norm <= 1 + 1e-9\n', "c.py": ""}
+    assert fragment_counts(sources, '.split(",")') == {"b.py": 2}
+    assert fragment_counts(sources, "(1.0 + 1e-9)") == {"a.py": 1}
+
+
+def test_the_bloch_ball_root_and_triple_are_written_once_each():
+    sources = {p.name: p.read_text(encoding="utf-8") for p in sorted(PACKAGE.glob("*.py"))}
+    for fragment in ("(1.0 + 1e-9)", "np.sqrt(1.0 + np.sqrt("):
+        assert list(fragment_counts(sources, fragment)) == ["linalg.py"], fragment
+    assert fragment_counts(sources, '.split(",")') == {"cli.py": 1}

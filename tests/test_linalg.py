@@ -19,10 +19,12 @@ from qest.linalg import (
     hermitian_eig,
     partial_trace,
     PATTERN,
+    PAULI_BASIS,
     pattern_search,
     pauli_coords,
     pure_to_density,
     purification,
+    sqrt_coords,
     tensor_product,
     to_ball,
     to_sphere,
@@ -354,6 +356,59 @@ def test_purification_has_the_given_reduced_state(rng):
     np.testing.assert_allclose(
         partial_trace(pure_to_density(psi), 2, 2, keep="S"), bloch_to_density(xs), atol=1e-14
     )
+
+
+@pytest.mark.parametrize("radius", [0.0, 1.0 - 1e-12, 1.0], ids=["centre", "1-1e-12", "sphere"])
+def test_purification_is_exact_at_the_centre_and_the_surface(radius):
+    xs = radius * fibonacci_sphere(50)
+    for x in (xs, xs[7]):  # batched and single
+        np.testing.assert_allclose(partial_trace(pure_to_density(purification(x)), 2, 2, keep="S"),
+                                   bloch_to_density(x), rtol=0, atol=1e-14)
+
+
+def test_purification_reads_the_square_root_coordinates(rng):
+    xs = rng.standard_normal((40, 3))
+    xs *= (rng.uniform(0.0, 1.0, 40) / np.linalg.norm(xs, axis=1))[:, None]
+    xs = np.concatenate([xs, np.zeros((1, 3)), fibonacci_sphere(9)])
+    for x in (xs, xs[3]):
+        np.testing.assert_array_equal(purification(x), sqrt_coords(x) @ PAULI_BASIS.T / 2)
+
+
+class TestBallTest:
+    """:func:`check_bloch`, the one test of the Bloch ball, at its edge."""
+
+    @staticmethod
+    def accepts(x):
+        try:
+            check_bloch(x)
+        except ValidationError:
+            return False
+        return True
+
+    def test_batched_and_single_agree_at_the_edge(self):
+        edge = [1.0 + 1e-9]
+        for _ in range(4):
+            edge = [np.nextafter(edge[0], 0.0), *edge, np.nextafter(edge[-1], 2.0)]
+        dirs = np.concatenate([np.eye(3), fibonacci_sphere(5), [[0.6, 0.0, 0.8]]])
+        pts = (np.array(edge)[:, None, None] * dirs).reshape(-1, 3)
+        single = np.array([self.accepts(x) for x in pts])
+        assert single.any() and not single.all()
+        assert self.accepts(pts[single])
+        for x in pts[~single]:
+            assert not self.accepts(np.stack([np.zeros(3), x]))
+        norm2 = check_bloch(pts[single])[1]
+        np.testing.assert_array_equal(norm2, [check_bloch(x)[1] for x in pts[single]])
+
+    @pytest.mark.parametrize("bad, message", [
+        ([np.nan, 0.0, 0.0], "Bloch vector has a NaN or infinite component"),
+        ([0.0, -np.inf, 0.0], "Bloch vector has a NaN or infinite component"),
+        ([1e200, 0.0, 0.0], "Bloch vector norm inf exceeds 1"),
+        ([[0.0, 0.0, 0.5], [0.0, 0.0, 1.5]], "Bloch vector norm 1.500000000000 exceeds 1"),
+    ], ids=["nan", "inf", "1e200", "1.5"])
+    def test_messages(self, bad, message):
+        with pytest.raises(ValidationError) as info:
+            check_bloch(bad)
+        assert str(info.value) == message
 
 
 class TestPatternSearch:

@@ -211,6 +211,13 @@ class TestQuadraticForm:
         np.testing.assert_allclose(quadratic_form(geom, [0, 0, 0]), 0.75, atol=1e-15)
         np.testing.assert_allclose(quadratic_form(geom, [0, 0, 1]), 0.5, atol=1e-15)
 
+    @pytest.mark.parametrize("x", [[0.0, 0.0, 1.5], [np.nan, 0.0, 0.0],
+                                   [[0.0, 0.0, 0.5], [2.0, 0.0, 0.0]], [1.0, 0.0]],
+                             ids=["outside", "nan", "batch", "two"])
+    def test_refuses_what_is_not_a_bloch_vector(self, x):
+        with pytest.raises(ValidationError, match="Bloch vector"):
+            quadratic_form(noise_geometry(depolarizing().noise_ops), x)
+
     def test_gad_south_pole(self):
         geom = noise_geometry(gad(1.0).noise_ops)
         np.testing.assert_allclose(
@@ -704,6 +711,16 @@ class TestBruteForce:
     def test_rejects_small_grid(self):
         with pytest.raises(ValidationError):
             eta_bruteforce(depolarizing().noise_ops, 999)
+
+    @pytest.mark.parametrize("size", [1000.5, 2000.0, float("nan"), float("inf"), "2000", True],
+                             ids=["1000.5", "2000.0", "nan", "inf", "str", "True"])
+    def test_rejects_a_grid_size_that_is_not_an_integer(self, size):
+        with pytest.raises(ValidationError, match="integer"):
+            eta_bruteforce(depolarizing().noise_ops, size)
+
+    def test_takes_a_numpy_integer_grid_size(self):
+        ops = random_low_noise(3, num_m=2).noise_ops
+        assert eta_bruteforce(ops, np.int64(1000)) == eta_bruteforce(ops, 1000)
 
     def test_no_batch_exceeds_the_sphere_grid(self, monkeypatch):
         # the leading coefficient is concave on the ball, so the ball search
