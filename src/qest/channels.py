@@ -27,8 +27,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import ParameterRangeError, ValidationError
-from .linalg import dagger, eigh
+from .errors import ParameterRangeError, ValidationError, is_int_in
+from .linalg import check_state, dagger, eigh
 
 #: generator(eps) -> (Bs, Cs); the channel's Kraus operators are the B's plus
 #: sqrt(eps) times each C.
@@ -94,11 +94,7 @@ def apply_channel(ch: KrausChannel, rho: np.ndarray) -> np.ndarray:
     The linear map takes the row-major ``vec(rho)`` to ``S vec(rho)``, S the
     :func:`transfer_matrix`; a whole stack is one matrix product.
     """
-    rho = np.asarray(rho, dtype=complex)
-    if rho.shape[-2:] != (ch.dim, ch.dim):
-        raise ValidationError(
-            f"state shape {rho.shape} does not match channel dimension {ch.dim}"
-        )
+    rho = check_state(rho, ch.dim)
     flat = rho.reshape(rho.shape[:-2] + (ch.dim * ch.dim,))
     return (flat @ transfer_matrix(ch.kraus, ch.kraus).T).reshape(rho.shape)
 
@@ -111,8 +107,8 @@ def validate_trace_preserving(ch: KrausChannel) -> float:
 
 def extend_with_ancilla(ch: KrausChannel, dim_a: int) -> KrausChannel:
     """The extended channel acting as ``ch`` on the system and identity on an ancilla."""
-    if dim_a < 1:
-        raise ValidationError(f"ancilla dimension must be >= 1, got {dim_a}")
+    if not is_int_in(dim_a, 1):
+        raise ValidationError(f"ancilla dimension must be an integer >= 1, got {dim_a!r}")
     return KrausChannel(dim=ch.dim * dim_a, kraus=_with_identity(ch.kraus, dim_a))
 
 
@@ -289,6 +285,8 @@ def family_from_low_noise(ln: LowNoiseChannel) -> ChannelFamily:
 
 
 def extend_family(fam: ChannelFamily, dim_a: int) -> ChannelFamily:
+    if not is_int_in(dim_a, 1):
+        raise ValidationError(f"ancilla dimension must be an integer >= 1, got {dim_a!r}")
     return ChannelFamily(
         parameter=fam.parameter,
         validity=fam.validity,

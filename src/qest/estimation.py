@@ -40,10 +40,10 @@ from .linalg import (
     bloch_state,
     check_bloch,
     check_hermitian,
+    check_state,
     dagger,
     eigh,
     fibonacci_sphere,
-    hermitian_eig,
     pattern_search,
     pauli_coords,
     pure_to_density,
@@ -131,24 +131,33 @@ def _hermitian_parts(out):
     return out[..., 0, :, :], out[..., 1, :, :]
 
 
+def _state_and_operand(rho, op, what):
+    """The checked state and ``op``, a Hermitian matrix of its shape."""
+    rho, op = check_state(rho), np.asarray(op, dtype=complex)
+    if op.shape != rho.shape:
+        raise ValidationError(f"{what} shape {op.shape} != input state shape {rho.shape}")
+    check_hermitian(op, what=what)
+    return rho, op
+
+
 def sld(rho: np.ndarray, drho: np.ndarray) -> np.ndarray:
     """Symmetric logarithmic derivative of a state and its parameter derivative.
 
-    In the eigenbasis of rho the solution is ``L_ij = 2 d_ij / (p_i + p_j)``
-    wherever ``p_i + p_j > KERNEL_TOL``; on the kernel of rho the SLD is not
+    ``rho`` is a state or a stack (:func:`~qest.linalg.check_state`), ``drho`` a Hermitian
+    matrix of its shape.  In the eigenbasis of rho the solution is ``L_ij = 2 d_ij / (p_i +
+    p_j)`` wherever ``p_i + p_j > KERNEL_TOL``; on the kernel of rho the SLD is not
     determined, and this implementation sets it to zero there.
     """
-    rho = np.asarray(rho, dtype=complex)
-    drho = np.asarray(drho, dtype=complex)
-    check_hermitian(drho, what="drho")
-    if rho.shape != drho.shape:
-        raise ValidationError(f"rho shape {rho.shape} != drho shape {drho.shape}")
-    p, v = hermitian_eig(rho, tol=1e-8)
-    return _sld_from_eigensystem(p, v, drho)
+    rho, drho = _state_and_operand(rho, drho, "drho")
+    return _sld_from_eigensystem(*eigh(0.5 * (rho + dagger(rho))), drho)
 
 
 def qfi(rho: np.ndarray, sld_op: np.ndarray) -> float:
-    """Quantum Fisher information ``tr(rho L^2)``."""
+    """Quantum Fisher information ``tr(rho L^2)`` of one state (:func:`~qest.linalg.check_state`)
+    and a Hermitian L of its shape; a stack of states is refused."""
+    rho, sld_op = _state_and_operand(rho, sld_op, "SLD")
+    if rho.ndim != 2:
+        raise ValidationError(f"qfi takes one state, got shape {rho.shape}")
     val = float(np.real(np.trace(rho @ sld_op @ sld_op)))
     return 0.0 if -1e-12 < val < 0.0 else val
 
@@ -164,8 +173,8 @@ class QfiEvaluator:
     ``theta +- h`` (h = :func:`default_fd_step`) must be valid.  Both
     must have finite Hermitian Choi matrices, and are held once, as one map on
     the row-major ``vec`` of the input state, which :meth:`_outputs` applies.
-    :meth:`qfi` and :meth:`result` check their inputs (shape, then finite and
-    Hermitian to 1e-8); :meth:`_outputs` and :meth:`_kernel` check nothing.
+    :meth:`qfi` and :meth:`result` check their inputs with :func:`~qest.linalg.check_state`;
+    :meth:`_outputs` and :meth:`_kernel` check nothing.
     """
 
     def __init__(self, family: ChannelFamily, theta: float):
@@ -198,15 +207,9 @@ class QfiEvaluator:
         self._map = sd.reshape(2 * len(ds), -1).T  # vec(rho) -> (vec(S rho), vec(dS rho))
 
     def _vec(self, rho_in: np.ndarray) -> np.ndarray:
-        """Row-major ``vec`` of input states ``(..., d, d)``, after the input check."""
-        rho_in = np.asarray(rho_in, dtype=complex)
-        dim = self.family.dim
-        if rho_in.shape[-2:] != (dim, dim):
-            raise ValidationError(
-                f"state shape {rho_in.shape} does not match channel dimension {dim}"
-            )
-        check_hermitian(rho_in, tol=1e-8, what="input state")
-        return rho_in.reshape(rho_in.shape[:-2] + (dim * dim,))
+        """Row-major ``vec`` of input states ``(..., d, d)`` that pass ``check_state``."""
+        rho_in = check_state(rho_in, self.family.dim)
+        return rho_in.reshape(rho_in.shape[:-2] + (self.family.dim ** 2,))
 
     def _outputs(self, vecs: np.ndarray) -> np.ndarray:
         """The map's outputs rho and d rho, stacked on axis -3, at a stack of input ``vec``."""

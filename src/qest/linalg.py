@@ -8,8 +8,9 @@ thousands of input states affordable.
 The qubit Pauli basis is written once, as :data:`PAULI_BASIS`, whose column mu
 is the row-major ``vec(sigma_mu)`` (``sigma_0 = I``); :func:`pauli_coords`
 gives the coordinates ``tr(sigma_mu m)``, so ``m = sum_mu c_mu sigma_mu / 2``,
-and the Bloch vector of a qubit state is ``c[1:]`` at ``c[0] = 1``.  Only :func:`check_bloch`
-tests the Bloch ball, and only :func:`sqrt_coords` takes the square root of a qubit state.
+and the Bloch vector of a qubit state is ``c[1:]`` at ``c[0] = 1``.  Only :func:`check_state`
+tests a density matrix, only :func:`check_bloch` the Bloch ball, and only
+:func:`sqrt_coords` takes the square root of a qubit state.
 
 The eigensolver is LAPACK ``eigh``, batched over stacks: :func:`eigh` calls the
 gufunc of ``np.linalg.eigh``, ``numpy.linalg._umath_linalg.eigh_lo`` (the one private
@@ -61,6 +62,16 @@ def check_hermitian(m: np.ndarray, tol: float = HERMITIAN_TOL, what: str = "matr
         raise ValidationError(
             f"{what} is not Hermitian: max |M - M^dag| = {dev:.3e} exceeds {tol:.3e}"
         )
+
+
+def check_state(rho: np.ndarray, dim: int | None = None) -> np.ndarray:
+    """``rho`` as complex input states ``(..., d, d)``, d = ``dim`` if given, finite and
+    Hermitian to 1e-8 (:func:`check_hermitian`); positivity and trace are not tested."""
+    rho = np.asarray(rho, dtype=complex)
+    if dim is not None and rho.shape[-2:] != (dim, dim):
+        raise ValidationError(f"input state shape {rho.shape} does not match dimension {dim}")
+    check_hermitian(rho, tol=1e-8, what="input state")
+    return rho
 
 
 def hermitian_eig(m: np.ndarray, tol: float = HERMITIAN_TOL) -> tuple[np.ndarray, np.ndarray]:

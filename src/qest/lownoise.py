@@ -39,6 +39,7 @@ from .linalg import (
     bloch_state,
     bloch_to_density,
     check_bloch,
+    check_state,
     dagger,
     eigh,
     fibonacci_sphere,
@@ -115,19 +116,14 @@ def _leading_kernel(ms):
 def leading_qfi_coefficient(noise_ops, rho: np.ndarray) -> float:
     """Coefficient of the 1/eps divergence of the QFI at input ``rho``.
 
-    Accepts a stack of states ``(..., d, d)`` and then returns an array; refuses NaN and inf.
+    Accepts a stack of states (:func:`~qest.linalg.check_state`), each formed as one state
+    is, and then returns an array.  A sum of variances, it is clipped at 0.
     """
     ms = operator_stack(noise_ops)
     noise_unit(ms)
-    d = ms.shape[-1]
-    rho = np.asarray(rho, dtype=complex)
-    if rho.shape[-2:] != (d, d):
-        raise ValidationError(f"state shape {rho.shape} does not match dim {d}")
-    total = _leading_kernel(ms)(rho.reshape(rho.shape[:-2] + (d * d,)))
-    if total.ndim == 0:
-        val = float(total)
-        return 0.0 if -1e-14 < val < 0.0 else val
-    return total
+    rho = check_state(rho, ms.shape[-1])
+    total = np.maximum(_leading_kernel(ms)(rho.reshape(-1, ms.shape[-1] ** 2)), 0.0)
+    return float(total[0]) if rho.ndim == 2 else total.reshape(rho.shape[:-2])
 
 
 _HALF_PAULI = PAULI_BASIS.conj() / 2.0

@@ -125,6 +125,23 @@ class TestAncillaExtension:
         with pytest.raises(ValidationError):
             extend_with_ancilla(KrausChannel(2, (np.eye(2),)), 0)
 
+    @pytest.mark.parametrize("extend, base", [
+        (extend_with_ancilla, KrausChannel(2, (np.eye(2),))),
+        (extend_family, family_from_low_noise(depolarizing())),
+    ], ids=["channel", "family"])
+    @pytest.mark.parametrize("dim_a", [0, 2.5, 2.0, True, "2", None],
+                             ids=["0", "2.5", "2.0", "True", "str", "None"])
+    def test_an_ancilla_dimension_is_an_integer_of_at_least_one(self, extend, base, dim_a):
+        with pytest.raises(ValidationError, match="ancilla dimension must be an integer >= 1"):
+            extend(base, dim_a)
+
+    @pytest.mark.parametrize("extend, base", [
+        (extend_with_ancilla, KrausChannel(2, (np.eye(2),))),
+        (extend_family, family_from_low_noise(depolarizing())),
+    ], ids=["channel", "family"])
+    def test_a_numpy_integer_ancilla_dimension_is_taken(self, extend, base):
+        assert extend(base, np.int64(3)).dim == 6
+
     @pytest.mark.parametrize("dim_a", [1, 2, 3])
     def test_operators_equal_kronecker_products(self, dim_a):
         eye = np.eye(dim_a)

@@ -10,6 +10,7 @@ from qest.catalog import depolarizing, gad, random_low_noise, rotation_unitary
 from qest.channels import (
     ChannelFamily,
     KrausChannel,
+    apply_channel,
     extend_family,
     family_from_low_noise,
 )
@@ -38,6 +39,7 @@ from qest.linalg import (
     pure_to_density,
     purification,
 )
+from qest.lownoise import leading_qfi_coefficient
 from qest.unitary import UnitaryFamily, unitary_channel_family
 
 from conftest import random_density, random_hermitian, random_pure
@@ -244,6 +246,50 @@ class TestQfiEvaluator:
         for rho in (ID2 / 2, np.eye(3, dtype=complex) / 3, np.ones(4, dtype=complex)):
             with pytest.raises(ValidationError):
                 ev.qfi(rho)
+
+
+BAD_STATES = {
+    "nan": np.diag([np.nan, 1.0]),
+    "inf": np.diag([np.inf, 0.0]),
+    "non-Hermitian": np.array([[0.5, 1e-3], [0.0, 0.5]]),
+    "wrong size": np.eye(3) / 3,
+}
+DEPOLARIZING = family_from_low_noise(depolarizing())
+STATE_ARGUMENTS = {
+    "QfiEvaluator.qfi": lambda rho: QfiEvaluator(DEPOLARIZING, 0.1).qfi(rho),
+    "QfiEvaluator.result": lambda rho: QfiEvaluator(DEPOLARIZING, 0.1).result(rho),
+    "sld": lambda rho: sld(rho, np.diag([1.0, -1.0])),
+    "qfi": lambda rho: qfi(rho, np.diag([1.0, -1.0])),
+    "leading_qfi_coefficient": lambda rho: leading_qfi_coefficient(depolarizing().noise_ops, rho),
+    "apply_channel": lambda rho: apply_channel(KrausChannel(2, (np.eye(2),)), rho),
+}
+
+
+@pytest.mark.parametrize("bad", BAD_STATES)
+@pytest.mark.parametrize("call", STATE_ARGUMENTS)
+def test_every_state_argument_is_checked(call, bad):
+    with pytest.raises(ValidationError, match="input state"):
+        STATE_ARGUMENTS[call](BAD_STATES[bad])
+
+
+@pytest.mark.parametrize("op", [[[0.0, 1.0], [0.0, 0.0]], np.diag([np.nan, 0.0]), np.eye(3)],
+                         ids=["non-Hermitian", "nan", "wrong size"])
+@pytest.mark.parametrize("call, what", [(sld, "drho"), (qfi, "SLD")], ids=["sld", "qfi"])
+def test_the_second_operand_is_a_hermitian_matrix_of_the_state_shape(call, what, op):
+    with pytest.raises(ValidationError, match=f"^{what}"):
+        call(ID2 / 2, op)
+
+
+def test_qfi_refuses_a_stack_of_states():
+    with pytest.raises(ValidationError, match="one state"):
+        qfi(np.stack([ID2 / 2] * 3), np.stack([np.diag([1.0, -1.0])] * 3))
+
+
+def test_sld_batches_a_stack_like_single_states(rng):
+    rhos = np.stack([random_density(rng, 3) for _ in range(5)])
+    drhos = np.stack([random_hermitian(rng, 3) for _ in range(5)])
+    single = [sld(r, d) for r, d in zip(rhos, drhos)]
+    np.testing.assert_allclose(sld(rhos, drhos), single, rtol=1e-13, atol=0)
 
 
 def search_objective(monkeypatch, family, theta):

@@ -1,9 +1,10 @@
 """Source hygiene: every module of the package uses each name it imports,
 every name of the public API has a caller, one private numpy name is read, in
 one place, stored operator sets are read as the stacks they are, a family is
-differentiated and range-checked in one place each, and the Bloch ball's
-slack, the square root of a qubit state and the CLI's comma-separated triples
-are written once each.
+differentiated and range-checked in one place each, the Bloch ball's slack,
+the square root of a qubit state and the CLI's comma-separated triples are
+written once each, and so is the rule for a density-matrix argument, which
+the modules that take states call.
 
 ``__init__.py`` is exempt from the first rule, since its imports are the
 public API.  The checks read the source with the standard library's ``ast``;
@@ -213,3 +214,22 @@ def test_the_bloch_ball_root_and_triple_are_written_once_each():
     for fragment in ("(1.0 + 1e-9)", "np.sqrt(1.0 + np.sqrt("):
         assert list(fragment_counts(sources, fragment)) == ["linalg.py"], fragment
     assert fragment_counts(sources, '.split(",")') == {"cli.py": 1}
+
+
+def calls_to(source: str, name: str) -> int:
+    """How many calls to ``name``, bare or as an attribute, a source makes."""
+    return sum(1 for node in ast.walk(ast.parse(source)) if isinstance(node, ast.Call)
+               and name in (getattr(node.func, "id", None), getattr(node.func, "attr", None)))
+
+
+def test_the_call_guard_counts_bare_and_attribute_calls():
+    source = ("a = check_state(x)\nb = linalg.check_state(y, 2)\nc = check_state\n"
+              "# check_state(z)\nd = check_states(x)\n")
+    assert calls_to(source, "check_state") == 2
+
+
+def test_the_state_rule_is_written_once_and_called():
+    sources = {p.name: p.read_text(encoding="utf-8") for p in sorted(PACKAGE.glob("*.py"))}
+    assert list(fragment_counts(sources, "tol=1e-8")) == ["linalg.py"]
+    for name in ("channels.py", "estimation.py", "lownoise.py"):
+        assert calls_to(sources[name], "check_state") > 0, name

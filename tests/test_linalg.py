@@ -14,6 +14,7 @@ from qest.linalg import (
     SIGMA_Z,
     bloch_to_density,
     check_bloch,
+    check_state,
     dagger,
     fibonacci_sphere,
     hermitian_eig,
@@ -408,6 +409,37 @@ class TestBallTest:
     def test_messages(self, bad, message):
         with pytest.raises(ValidationError) as info:
             check_bloch(bad)
+        assert str(info.value) == message
+
+
+class TestStateCheck:
+    """:func:`check_state`, the one test of an input density matrix."""
+
+    def test_returns_the_complex_array(self):
+        rho = [[0.5, 0.0], [0.0, 0.5]]
+        out = check_state(rho, 2)
+        assert out.dtype == complex and out.shape == (2, 2)
+        np.testing.assert_array_equal(out, rho)
+        assert check_state(np.zeros((0, 3, 3))).shape == (0, 3, 3)
+
+    def test_takes_the_hermitian_slack_of_the_evaluator(self):
+        rho = np.eye(2, dtype=complex) / 2
+        rho[0, 1] = 1e-8
+        check_state(rho)
+        rho[0, 1] = 2e-8
+        with pytest.raises(ValidationError, match="^input state is not Hermitian"):
+            check_state(rho)
+
+    @pytest.mark.parametrize("bad, dim, message", [
+        (np.diag([np.nan, 1.0]), None, "input state has a NaN or infinite entry"),
+        (np.diag([np.inf, 1.0]), 2, "input state has a NaN or infinite entry"),
+        (np.ones((2, 3)), None, r"input state must be square, got shape (2, 3)"),
+        (np.eye(3), 2, r"input state shape (3, 3) does not match dimension 2"),
+        (np.ones(4), 2, r"input state shape (4,) does not match dimension 2"),
+    ], ids=["nan", "inf", "not square", "wrong size", "a vector"])
+    def test_messages_name_the_input_state(self, bad, dim, message):
+        with pytest.raises(ValidationError) as info:
+            check_state(bad, dim)
         assert str(info.value) == message
 
 

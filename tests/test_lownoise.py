@@ -107,6 +107,16 @@ class TestLeadingCoefficient:
         with pytest.raises(ValidationError):
             leading_qfi_coefficient([ID2], np.eye(3, dtype=complex))
 
+    def test_a_state_and_its_one_element_stack_agree_at_zero(self):
+        # an eigenstate of the one noise operator M has L = 0 exactly; rounding
+        # leaves values near -3e-14, which both forms clip to the same number
+        rng = np.random.default_rng(1)
+        for _ in range(2000):
+            h = random_hermitian(rng, 2)
+            rho = pure_to_density(np.linalg.eigh(h)[1][:, 0])
+            single, stack = (leading_qfi_coefficient([h], r) for r in (rho, rho[None]))
+            assert stack.shape == (1,) and single == stack[0] and single >= 0.0
+
 
 class TestNoiseGeometry:
     def test_depolarizing(self):
